@@ -125,10 +125,15 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
         raise ConfigError(f"invalid config: {exc}")
 
     out = doc.get("outputs", {})
+    for switch in ("snapshots", "diagnostics"):
+        if not isinstance(out.get(switch, True), bool):
+            raise ConfigError(
+                f"outputs.{switch} must be true or false, got {out[switch]!r}"
+            )
     out_opts = {
         "dir": os.environ.get("HOTSPOT_OUT", out.get("dir", "out")),
-        "snapshots": bool(out.get("snapshots", True)),
-        "diagnostics": bool(out.get("diagnostics", True)),
+        "snapshots": out.get("snapshots", True),
+        "diagnostics": out.get("diagnostics", True),
     }
     return config, out_opts
 
@@ -187,7 +192,11 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = solver.run(config)
+    try:
+        result = solver.run(config)
+    except solver.InitialConditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit_outputs(result, out_opts)
     print(f"outcome: {result.outcome.kind} at t={result.outcome.t:.6g}")
     if result.outcome.kind == "completed":

@@ -10,6 +10,7 @@ operator in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,10 +89,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def transpose(self) -> "ScalarField":
-        """The square-symmetry image u(x,y) -> u(y,x)."""
-        return ScalarField(self.grid, self.values.T.copy())
-
 
 @dataclass
 class VectorField:
@@ -120,6 +117,43 @@ class VectorField:
         return max(float(np.max(np.abs(self.fx))), float(np.max(np.abs(self.fy))))
 
 
+def _trusted(cls, grid: GridSpec, **arrays):
+    """A field of `cls` around arrays that an operator of this package built
+    well-formed from fields already validated.  Validation guards fields
+    entering from outside (constructors, files, plugins); the hot path
+    skips it."""
+    field = object.__new__(cls)
+    field.__dict__.update(grid=grid, **arrays)
+    return field
+
+
+class _Workspace:
+    """Per-grid arrays of the hot path: the cosine eigenvalue sum of the
+    Helmholtz symbol and scratch buffers.  Each call on the grid overwrites
+    the buffers, so no field handed to a caller may alias one, and two
+    threads must not work on one grid at the same time."""
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n
+        s = (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+        self.eig_sum = s[:, None] + s[None, :]
+        # face buffers: only interior faces are ever written, so the
+        # boundary-normal ones stay zero (no-flux)
+        self.fx = np.zeros((n + 1, n))
+        self.fy = np.zeros((n, n + 1))
+        # a solve's denominator, then its residual's Laplacian
+        self.cell = np.empty((n, n))
+        self.residual = np.empty((n, n))
+        # the explicit stages of a step, the right-hand sides of its solves
+        self.rhs_A = np.empty((n, n))
+        self.rhs_N = np.empty((n, n))
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(grid: GridSpec) -> _Workspace:
+    return _Workspace(grid)
+
+
 def _same_grid(*fields) -> GridSpec:
     g = fields[0].grid
     for f in fields[1:]:
@@ -132,25 +166,38 @@ def _same_grid(*fields) -> GridSpec:
 # Differential operators
 # ---------------------------------------------------------------------------
 
+def _face_gradients(v: np.ndarray, h: float, fx: np.ndarray, fy: np.ndarray) -> None:
+    """Interior face differences of the cell values v, over h, into fx and fy;
+    the boundary-normal faces are left as they are."""
+    np.subtract(v[1:, :], v[:-1, :], out=fx[1:-1, :])
+    fx[1:-1, :] /= h
+    np.subtract(v[:, 1:], v[:, :-1], out=fy[:, 1:-1])
+    fy[:, 1:-1] /= h
+
+
 def gradient(u: ScalarField) -> VectorField:
     g = u.grid
-    h = g.h
     fx = np.zeros((g.n + 1, g.n))
     fy = np.zeros((g.n, g.n + 1))
-    fx[1:-1, :] = np.diff(u.values, axis=0) / h
-    fy[:, 1:-1] = np.diff(u.values, axis=1) / h
-    return VectorField(g, fx, fy)
+    _face_gradients(u.values, g.h, fx, fy)
+    return _trusted(VectorField, g, fx=fx, fy=fy)
 
 
-def divergence(F: VectorField) -> ScalarField:
-    h = F.grid.h
-    vals = (np.diff(F.fx, axis=0) + np.diff(F.fy, axis=1)) / h
-    return ScalarField(F.grid, vals)
+def divergence(F: VectorField, out: np.ndarray | None = None) -> ScalarField:
+    """Cell divergence of a face field, written into `out` when given."""
+    vals = np.subtract(F.fx[1:, :], F.fx[:-1, :], out=out)
+    vals += F.fy[:, 1:] - F.fy[:, :-1]
+    vals /= F.grid.h
+    return _trusted(ScalarField, F.grid, values=vals)
 
 
-def laplacian(u: ScalarField) -> ScalarField:
-    # Defined as div(grad(u)) so the discrete compatibility holds identically.
-    return divergence(gradient(u))
+def laplacian(u: ScalarField, out: np.ndarray | None = None) -> ScalarField:
+    """div(grad(u)), so the discrete compatibility holds identically; the
+    face gradients go through the grid's workspace."""
+    g = u.grid
+    ws = _workspace(g)
+    _face_gradients(u.values, g.h, ws.fx, ws.fy)
+    return divergence(_trusted(VectorField, g, fx=ws.fx, fy=ws.fy), out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +281,30 @@ def dct_laplacian_symbol(grid: GridSpec, j: int, k: int = 0) -> float:
 def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> ScalarField:
     """Solve (1 + dt*lam) u - dt*d*Lap_h u = rhs under discrete Neumann
     conditions by cosine-basis diagonalization; checked to 1e-10 relative
-    residual."""
+    residual.  The returned field owns its values."""
     if d < 0 or lam < 0 or dt <= 0:
         raise ValueError("need d >= 0, lam >= 0, dt > 0")
-    if 1.0 + dt * lam <= 0:
+    c = 1.0 + dt * lam
+    if c <= 0:
         raise ValueError("1 + dt*lam must be positive")
     g = rhs.grid
-    j = np.arange(g.n)
-    s = (4.0 / g.h ** 2) * np.sin(np.pi * j / (2 * g.n)) ** 2
-    denom = (1.0 + dt * lam) + dt * d * (s[:, None] + s[None, :])
-    rh = _fft.dctn(rhs.values, type=2, norm="ortho")
-    u = ScalarField(g, _fft.idctn(rh / denom, type=2, norm="ortho"))
+    ws = _workspace(g)
+    denom = np.multiply(ws.eig_sum, dt * d, out=ws.cell)
+    denom += c
+    uh = _fft.dctn(rhs.values, type=2, norm="ortho")
+    uh /= denom
+    u = _trusted(
+        ScalarField, g, values=_fft.idctn(uh, type=2, norm="ortho", overwrite_x=True)
+    )
 
-    applied = (1.0 + dt * lam) * u.values - dt * d * laplacian(u).values
+    # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs
+    lap = laplacian(u, out=ws.cell).values
+    lap *= dt * d
+    applied = np.multiply(u.values, c, out=ws.residual)
+    applied -= lap
+    applied -= rhs.values
     scale = max(float(np.linalg.norm(rhs.values)), np.finfo(float).tiny)
-    rel = float(np.linalg.norm(applied - rhs.values)) / scale
+    rel = float(np.linalg.norm(applied)) / scale
     if rel > HELMHOLTZ_TOL:
         raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
     return u

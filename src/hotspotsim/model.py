@@ -11,10 +11,12 @@ from typing import Callable, Union
 import numpy as np
 
 from .grid import (
+    GridSpec,
     ScalarField,
     VectorField,
     _face_means,
     _same_grid,
+    _trusted,
     lp_norm,
 )
 
@@ -37,6 +39,11 @@ class FloorViolation(ModelError):
 
 class InvalidInitialData(ModelError):
     pass
+
+
+class PluginOutputError(ModelError):
+    """A GeneralModel callable returned a field of the wrong shape or with
+    non-finite values; halving the step cannot help."""
 
 
 POSITIVITY_MESSAGE = (
@@ -129,6 +136,14 @@ class GeneralModel:
 ModelKind = Union[ModelParams, ShortParams, GeneralModel]
 
 
+def plugin_field(grid: GridSpec, name: str, values) -> ScalarField:
+    """Validate what the plugin callable `name` returned, where it enters."""
+    try:
+        return ScalarField(grid, values)
+    except ValueError as exc:
+        raise PluginOutputError(f"GeneralModel.{name}: {exc}") from exc
+
+
 def _eval_envelope(e: EnvelopeFn, a: np.ndarray) -> np.ndarray:
     return e(a) if callable(e) else np.full_like(np.asarray(a, dtype=float), float(e))
 
@@ -158,12 +173,17 @@ def reaction_terms(
         rN = -n * a + kind.abar - kind.a0
         lam_A, lam_N = 1.0, 0.0
     elif isinstance(kind, GeneralModel):
-        rA = np.asarray(kind.f(a, n), dtype=float)
-        rN = np.asarray(kind.g(a, n), dtype=float)
+        rA = plugin_field(g, "f", kind.f(a, n)).values
+        rN = plugin_field(g, "g", kind.g(a, n)).values
         lam_A, lam_N = 1.0, kind.omega
     else:
         raise TypeError(f"unknown model kind {type(kind)!r}")
-    return ScalarField(g, rA), ScalarField(g, rN), lam_A, lam_N
+    return (
+        _trusted(ScalarField, g, values=rA),
+        _trusted(ScalarField, g, values=rN),
+        lam_A,
+        lam_N,
+    )
 
 
 def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
@@ -180,7 +200,7 @@ def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
     fy = np.zeros((g.n, g.n + 1))
     fx[1:-1, :] = chi * np.diff(A.values, axis=0) / g.h / afx
     fy[:, 1:-1] = chi * np.diff(A.values, axis=1) / g.h / afy
-    return VectorField(g, fx, fy)
+    return _trusted(VectorField, g, fx=fx, fy=fy)
 
 
 # ---------------------------------------------------------------------------

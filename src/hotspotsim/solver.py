@@ -11,16 +11,19 @@ failure."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
 
 from . import analysis
 from .grid import (
+    GridError,
     GridSpec,
     ScalarField,
     VectorField,
+    _trusted,
+    _workspace,
     divergence,
     gradient,
     helmholtz_solve,
@@ -30,10 +33,12 @@ from .grid import (
 )
 from .model import (
     DerivedBounds,
+    ModelError,
     ModelKind,
     ModelParams,
     ShortParams,
     derived_bounds,
+    plugin_field,
     reaction_terms,
     sensitivity_grad,
     short_steady_state,
@@ -54,12 +59,22 @@ class NonFinite(SolverError):
     pass
 
 
+class InitialConditionError(ValueError):
+    """The initial condition cannot be built: an IC file is missing or
+    malformed, a recipe lacks a value, or the fields leave A > 0, N >= 0."""
+
+
 @dataclass
 class SimState:
     t: float
     A: ScalarField
     N: ScalarField
     step_count: int = 0
+    # (A, params, a_floor, velocity): the chemotactic velocity of this state,
+    # shared by adapt_dt, step and every guard-driven retry from it
+    _velocity: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,22 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def build_initial(config: SimConfig) -> tuple[ScalarField, ScalarField]:
+    try:
+        A, N = _recipe_fields(config)
+    except (OSError, ValueError, GridError) as exc:
+        raise InitialConditionError(
+            f"cannot build the initial condition: {exc}"
+        ) from exc
+    if np.min(A.values) <= 0:
+        raise InitialConditionError(
+            "initial attractiveness must be positive everywhere"
+        )
+    if np.min(N.values) < 0:
+        raise InitialConditionError("initial criminal density must be nonnegative")
+    return A, N
+
+
+def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
     ic, grid, params = config.ic, config.grid, config.params
     if ic.recipe == "constants":
         if ic.a0 is None or ic.n0 is None:
@@ -148,10 +179,6 @@ def build_initial(config: SimConfig) -> tuple[ScalarField, ScalarField]:
         N = read_field(ic.path_N, grid)
     else:
         raise ValueError(f"unknown initial-condition recipe {ic.recipe!r}")
-    if np.min(A.values) <= 0:
-        raise ValueError("initial attractiveness must be positive everywhere")
-    if np.min(N.values) < 0:
-        raise ValueError("initial criminal density must be nonnegative")
     return A, N
 
 
@@ -159,33 +186,47 @@ def build_initial(config: SimConfig) -> tuple[ScalarField, ScalarField]:
 # Single step
 # ---------------------------------------------------------------------------
 
-def _chemo_velocity(params: ModelKind, A: ScalarField, a_floor: float) -> VectorField:
+def _chemo_velocity(state: SimState, params: ModelKind, a_floor: float) -> VectorField:
+    """Chemotactic face velocity of state.A, computed once per state."""
+    cached = state._velocity
+    if (
+        cached is not None
+        and cached[0] is state.A
+        and cached[1] is params
+        and cached[2] == a_floor
+    ):
+        return cached[3]
+    A = state.A
     if isinstance(params, (ModelParams, ShortParams)):
-        return sensitivity_grad(A, params.chi, a_floor)
-    # generalized sensitivity: gradient of h(A) sampled at cells
-    hA = ScalarField(A.grid, np.asarray(params.h(A.values), dtype=float))
-    return gradient(hA)
-
-
-def _advective_flux(
-    N: ScalarField, v: VectorField, scheme: str
-) -> VectorField:
-    """Face flux of the drift term, -N_face * v, with N at faces by
-    arithmetic mean (centered) or by donor cell (upwind)."""
-    n = N.values
-    fx = np.zeros_like(v.fx)
-    fy = np.zeros_like(v.fy)
-    if scheme == "centered":
-        nfx = 0.5 * (n[1:, :] + n[:-1, :])
-        nfy = 0.5 * (n[:, 1:] + n[:, :-1])
+        v = sensitivity_grad(A, params.chi, a_floor)
     else:
-        vx_in = v.fx[1:-1, :]
-        vy_in = v.fy[:, 1:-1]
-        nfx = np.where(vx_in >= 0, n[:-1, :], n[1:, :])
-        nfy = np.where(vy_in >= 0, n[:, :-1], n[:, 1:])
-    fx[1:-1, :] = -nfx * v.fx[1:-1, :]
-    fy[:, 1:-1] = -nfy * v.fy[:, 1:-1]
-    return VectorField(N.grid, fx, fy)
+        # generalized sensitivity: gradient of h(A) sampled at cells
+        v = gradient(plugin_field(A.grid, "h", params.h(A.values)))
+    state._velocity = (A, params, a_floor, v)
+    return v
+
+
+def _advective_flux(n: np.ndarray, v: VectorField, scheme: str, ws) -> VectorField:
+    """Face flux of the drift term, -N_face * v, with N at faces by
+    arithmetic mean (centered) or by donor cell (upwind), written into the
+    workspace's face buffers."""
+    fx, fy = ws.fx[1:-1, :], ws.fy[:, 1:-1]
+    vx, vy = v.fx[1:-1, :], v.fy[:, 1:-1]
+    if scheme == "centered":
+        np.add(n[1:, :], n[:-1, :], out=fx)
+        fx *= 0.5
+        np.add(n[:, 1:], n[:, :-1], out=fy)
+        fy *= 0.5
+    else:
+        np.copyto(fx, n[1:, :])
+        np.copyto(fx, n[:-1, :], where=vx >= 0)
+        np.copyto(fy, n[:, 1:])
+        np.copyto(fy, n[:, :-1], where=vy >= 0)
+    np.negative(fx, out=fx)
+    fx *= vx
+    np.negative(fy, out=fy)
+    fy *= vy
+    return _trusted(VectorField, v.grid, fx=ws.fx, fy=ws.fy)
 
 
 def step(
@@ -205,17 +246,26 @@ def step(
         a_floor = (bounds.a_min if bounds is not None else float(np.min(A.values))) / 2.0
 
     rA, rN, lam_A, lam_N = reaction_terms(params, A, N, atol=config.guard_tol)
-    v = _chemo_velocity(params, A, a_floor)
-    adv = divergence(_advective_flux(N, v, config.flux_scheme))
+    v = _chemo_velocity(state, params, a_floor)
+    g = A.grid
+    ws = _workspace(g)
+    flux = _advective_flux(N.values, v, config.flux_scheme, ws)
+    adv = divergence(flux, out=ws.rhs_N)
 
-    a_exp = A.values + dt * rA.values
-    n_exp = N.values + dt * (adv.values + rN.values)
-    if not (np.all(np.isfinite(a_exp)) and np.all(np.isfinite(n_exp))):
+    # A + dt*rA and N + dt*(adv + rN), in the workspace
+    a_exp = np.multiply(rA.values, dt, out=ws.rhs_A)
+    a_exp += A.values
+    n_exp = adv.values
+    n_exp += rN.values
+    n_exp *= dt
+    n_exp += N.values
+    if not (np.isfinite(a_exp).all() and np.isfinite(n_exp).all()):
         raise NonFinite("explicit stage produced non-finite values")
 
-    eta = params.eta
-    A_new = helmholtz_solve(ScalarField(A.grid, a_exp), eta, lam_A, dt)
-    N_new = helmholtz_solve(ScalarField(N.grid, n_exp), 1.0, lam_N, dt)
+    A_exp = _trusted(ScalarField, g, values=a_exp)
+    N_exp = _trusted(ScalarField, g, values=n_exp)
+    A_new = helmholtz_solve(A_exp, params.eta, lam_A, dt)
+    N_new = helmholtz_solve(N_exp, 1.0, lam_N, dt)
 
     _guard(A_new, N_new, config, bounds)
     return SimState(state.t + dt, A_new, N_new, state.step_count + 1)
@@ -255,8 +305,7 @@ def adapt_dt(
         a_floor = (
             bounds.a_min if bounds is not None else float(np.min(state.A.values))
         ) / 2.0
-    v = _chemo_velocity(config.params, state.A, a_floor)
-    vmax = v.max_abs()
+    vmax = _chemo_velocity(state, config.params, a_floor).max_abs()
     dt = dt_prev * 1.1
     if vmax > 0:
         dt = min(dt, config.cfl_advection * config.grid.h / vmax)
@@ -340,7 +389,9 @@ def run(config: SimConfig) -> RunResult:
                 )
                 snapshots.append((state.t, state.A, state.N))
                 out_idx += 1
-    except SolverError as exc:
+    except (SolverError, ModelError, GridError) as exc:
+        # every numerical failure that halving cannot cure: a solve above its
+        # residual tolerance, A below the sensitivity floor, bad plugin output
         outcome = Outcome("failed", state.t, str(exc))
 
     if pitcher:

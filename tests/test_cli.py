@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hotspotsim import cli
+from hotspotsim import cli, solver
 from hotspotsim.grid import GridSpec, read_field
 
 
@@ -211,3 +211,47 @@ class TestSimulate:
             model={"kind": "short", "eta": 0.05, "a0": 0.2, "abar": 0.8, "chi": 1.0},
         )
         assert cli.main(["simulate", str(cfg)]) == 0
+
+
+class TestSimulateInputErrors:
+    @pytest.mark.parametrize("key", ["snapshots", "diagnostics"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_bool_output_switch_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{f"outputs.{key}": value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"outputs.{key}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_ic_file_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, ic={
+            "recipe": "file",
+            "path_A": str(tmp_path / "missing_A.field"),
+            "path_N": str(tmp_path / "missing_N.field"),
+        })
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "missing_A.field" in err
+
+    def test_amplitude_that_makes_A_nonpositive_is_an_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real = solver.build_initial
+
+        def spy(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(solver, "build_initial", spy)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, ic={"recipe": "perturbed_steady", "amplitude": 2.0})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "positive" in err
+        assert len(calls) == 1  # run() builds the initial condition

@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hotspotsim
 from hotspotsim.grid import (
     HELMHOLTZ_TOL,
     GridMismatch,
@@ -13,6 +19,7 @@ from hotspotsim.grid import (
     ScalarField,
     UnresolvableMode,
     VectorField,
+    _workspace,
     cosine_mode,
     dct_laplacian_symbol,
     divergence,
@@ -363,3 +370,59 @@ class TestHelmholtzConstantInput:
         rhs = ScalarField(grid, np.full((16, 16), 3.7))
         u = helmholtz_solve(rhs, d=0.2, lam=5.0, dt=0.01)
         np.testing.assert_allclose(u.values, 3.7 / (1.0 + 0.01 * 5.0), rtol=1e-13)
+
+
+_SOLVES = [(0.1, 1.0, 1e-3), (1.0, 84.0, 2e-3), (0.05, 0.0, 0.5)]
+
+_FRESH_PROCESS_SOLVES = """
+import json
+import sys
+import numpy as np
+from hotspotsim.grid import GridSpec, ScalarField, helmholtz_solve
+out, n, solves = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
+rng = np.random.default_rng(n)
+rhs = ScalarField(GridSpec(L=1.0, n=n), rng.uniform(0.5, 2.0, (n, n)))
+np.save(out, np.stack([helmholtz_solve(rhs, *s).values for s in solves]))
+"""
+
+
+class TestHelmholtzWorkspace:
+    def test_second_solve_leaves_first_result_unchanged(self):
+        grid = GridSpec(L=1.0, n=24)
+        u1 = helmholtz_solve(rand_field(grid, seed=1), 0.1, 1.0, 1e-2)
+        lap1 = laplacian(u1)
+        kept_u, kept_lap = u1.values.copy(), lap1.values.copy()
+        u2 = helmholtz_solve(rand_field(grid, seed=2), 1.0, 84.0, 1e-3)
+        lap2 = laplacian(u2)
+        np.testing.assert_array_equal(u1.values, kept_u)
+        np.testing.assert_array_equal(lap1.values, kept_lap)
+        assert not np.shares_memory(u1.values, u2.values)
+        assert not np.shares_memory(lap1.values, lap2.values)
+
+    def test_interleaved_grids_match_a_fresh_process(self, tmp_path):
+        sizes = (16, 24)
+        rhs = {}
+        for n in sizes:
+            rng = np.random.default_rng(n)
+            rhs[n] = ScalarField(GridSpec(L=1.0, n=n), rng.uniform(0.5, 2.0, (n, n)))
+        got = {n: [] for n in sizes}
+        for s in _SOLVES:
+            for n in sizes:
+                got[n].append(helmholtz_solve(rhs[n], *s).values)
+
+        src = str(Path(hotspotsim.__file__).resolve().parent.parent)
+        for n in sizes:
+            out = tmp_path / f"u{n}.npy"
+            subprocess.run(
+                [sys.executable, "-c", _FRESH_PROCESS_SOLVES, str(out), str(n),
+                 json.dumps(_SOLVES)],
+                check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+            assert np.stack(got[n]).tobytes() == np.load(out).tobytes()
+
+    def test_workspace_cache_stays_bounded(self):
+        for n in range(8, 24):
+            helmholtz_solve(rand_field(GridSpec(L=1.0, n=n)), 0.1, 1.0, 1e-2)
+        info = _workspace.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize <= 8

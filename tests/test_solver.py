@@ -2,16 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
+from hotspotsim import grid as grid_module
 from hotspotsim import solver
 from hotspotsim.grid import (
     GridSpec,
     ScalarField,
+    SolveFailure,
+    VectorField,
+    divergence,
+    gradient,
     helmholtz_solve,
     integral,
+    sample_cosine_field,
     write_field,
 )
-from hotspotsim.model import ModelParams, ShortParams, derived_bounds, steady_state
+from hotspotsim.model import (
+    DerivedBounds,
+    GeneralModel,
+    ModelParams,
+    PluginOutputError,
+    ShortParams,
+    derived_bounds,
+    steady_state,
+)
 from hotspotsim.solver import (
     InitialCondition,
     Outcome,
@@ -339,3 +354,183 @@ class TestRunConvergence:
         err_coarse = np.linalg.norm((d_base - d_half) / scale)
         err_fine = np.linalg.norm((d_fine - d_base) / scale)
         assert err_coarse / err_fine >= 1.8
+
+
+def overflowing_plugin():
+    def f(a, n):
+        with np.errstate(over="ignore"):
+            return np.exp(np.full_like(a, 1000.0))
+
+    return GeneralModel(
+        f=f,
+        g=lambda a, n: np.sqrt(n),
+        h=lambda a: np.log(a),
+        eta=0.1,
+        omega=1.0,
+        a_min=0.25,
+        a_max=1.0,
+        delta=0.5,
+        g1=1.0,
+        g2=0.0,
+        f1=0.0,
+        f2=0.5,
+    )
+
+
+class TestNumericalFailuresAreOutcomes:
+    def test_overflowing_plugin_fails_without_halving(self):
+        cfg = small_config(
+            params=overflowing_plugin(),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+        )
+        A, N = build_initial(cfg)
+        with pytest.raises(PluginOutputError, match="GeneralModel.f"):
+            step(SimState(0.0, A, N), 1e-3, cfg)
+        result = run(cfg)
+        assert result.outcome.kind == "failed"
+        assert "GeneralModel.f" in result.outcome.reason
+
+    def test_floor_violation_fails(self, monkeypatch):
+        # bounds whose a_min puts the sensitivity floor above every A value
+        monkeypatch.setattr(
+            solver,
+            "derived_bounds",
+            lambda A, N, params: DerivedBounds(a_min=2.0, a_max=3.0, n1_max=1.0),
+        )
+        result = run(small_config())
+        assert result.outcome.kind == "failed"
+        assert "below floor" in result.outcome.reason
+
+    def test_corrupted_inverse_dct_fails_the_residual_check(self, monkeypatch):
+        real = grid_module._fft
+
+        class CorruptedFFT:
+            dctn = staticmethod(real.dctn)
+
+            @staticmethod
+            def idctn(x, *args, **kwargs):
+                u = real.idctn(x, *args, **kwargs)
+                u[3, 5] += 1e-6
+                return u
+
+        monkeypatch.setattr(grid_module, "_fft", CorruptedFFT)
+        rhs = ScalarField(GridSpec(L=1.0, n=32), np.full((32, 32), 0.7))
+        with pytest.raises(SolveFailure, match="residual"):
+            helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
+        result = run(small_config())
+        assert result.outcome.kind == "failed"
+        assert "Helmholtz residual" in result.outcome.reason
+
+
+def _reference_step(state, dt, cfg, a_floor):
+    """One step built from the public operators and the formulas of the
+    scheme, with the Helmholtz solves written out on scipy's DCT."""
+    p, grid = cfg.params, cfg.grid
+    A, N = state.A, state.N
+    a, n = A.values, N.values
+    if isinstance(p, ModelParams):
+        rA = p.psi * n * a * (1.0 - a) + p.atilde
+        rN = np.full_like(n, p.omega)
+        lam_A, lam_N = 1.0, p.omega
+        afx = 0.5 * (a[1:, :] + a[:-1, :])
+        afy = 0.5 * (a[:, 1:] + a[:, :-1])
+        vfx = np.zeros((grid.n + 1, grid.n))
+        vfy = np.zeros((grid.n, grid.n + 1))
+        vfx[1:-1, :] = p.chi * np.diff(a, axis=0) / grid.h / afx
+        vfy[:, 1:-1] = p.chi * np.diff(a, axis=1) / grid.h / afy
+        v = VectorField(grid, vfx, vfy)
+    else:
+        rA = np.asarray(p.f(a, n), dtype=float)
+        rN = np.asarray(p.g(a, n), dtype=float)
+        lam_A, lam_N = 1.0, p.omega
+        v = gradient(ScalarField(grid, p.h(a)))
+    vx, vy = v.fx[1:-1, :], v.fy[:, 1:-1]
+    if cfg.flux_scheme == "centered":
+        nfx = 0.5 * (n[1:, :] + n[:-1, :])
+        nfy = 0.5 * (n[:, 1:] + n[:, :-1])
+    else:
+        nfx = np.where(vx >= 0, n[:-1, :], n[1:, :])
+        nfy = np.where(vy >= 0, n[:, :-1], n[:, 1:])
+    fx = np.zeros_like(v.fx)
+    fy = np.zeros_like(v.fy)
+    fx[1:-1, :] = -nfx * vx
+    fy[:, 1:-1] = -nfy * vy
+    adv = divergence(VectorField(grid, fx, fy)).values
+    a_exp = a + dt * rA
+    n_exp = n + dt * (adv + rN)
+
+    j = np.arange(grid.n)
+    s = (4.0 / grid.h ** 2) * np.sin(np.pi * j / (2 * grid.n)) ** 2
+
+    def solve(rhs, d, lam):
+        denom = (1.0 + dt * lam) + dt * d * (s[:, None] + s[None, :])
+        rh = scipy_fft.dctn(rhs, type=2, norm="ortho")
+        return scipy_fft.idctn(rh / denom, type=2, norm="ortho")
+
+    return solve(a_exp, p.eta, lam_A), solve(n_exp, 1.0, lam_N)
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize("scheme", ["centered", "upwind"])
+    @pytest.mark.parametrize("model", ["main", "general"])
+    def test_bitwise_equal_to_reference(self, scheme, model):
+        grid = GridSpec(L=1.0, n=32)
+        if model == "main":
+            params = ModelParams(eta=0.1, psi=0.5, omega=84.0, atilde=0.7, chi=2.0)
+        else:
+            params = GeneralModel(
+                f=lambda a, n: 0.3 * n * a + 0.1,
+                g=lambda a, n: np.sqrt(n),
+                h=lambda a: 2.0 * np.log(a),
+                eta=0.1, omega=1.0, a_min=0.25, a_max=1.0, delta=0.5,
+                g1=1.0, g2=0.0, f1=0.3, f2=0.1,
+            )
+        cfg = small_config(grid=grid, params=params, flux_scheme=scheme)
+        # velocities of both signs on both face families
+        wave, _ = sample_cosine_field(7, 5, 0.05, grid)
+        A = ScalarField(grid, 0.8 + wave.values)
+        N = ScalarField(grid, 1.0 + 2.0 * wave.values.T)
+        state = SimState(0.0, A, N)
+        a_floor = float(np.min(A.values)) / 2.0
+        for _ in range(3):
+            want_A, want_N = _reference_step(state, 1e-4, cfg, a_floor)
+            state = step(state, 1e-4, cfg, None, a_floor)
+            assert state.A.values.tobytes() == want_A.tobytes()
+            assert state.N.values.tobytes() == want_N.tobytes()
+
+
+class TestStatesOwnTheirArrays:
+    def test_successive_states_do_not_share_buffers(self):
+        cfg = small_config()
+        A, N = build_initial(cfg)
+        s1 = step(SimState(0.0, A, N), 1e-3, cfg)
+        kept_A, kept_N = s1.A.values.copy(), s1.N.values.copy()
+        s2 = step(s1, 1e-3, cfg)
+        arrays = [f.values for s in (SimState(0.0, A, N), s1, s2) for f in (s.A, s.N)]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+        np.testing.assert_array_equal(s1.A.values, kept_A)
+        np.testing.assert_array_equal(s1.N.values, kept_N)
+
+    def test_snapshots_do_not_share_buffers(self):
+        result = run(small_config())
+        arrays = [f.values for _, A, N in result.snapshots for f in (A, N)]
+        assert len(arrays) == 12
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    def test_one_velocity_per_accepted_state(self, monkeypatch):
+        calls = []
+        real = solver.sensitivity_grad
+
+        def counted(A, chi, a_floor):
+            calls.append(A)
+            return real(A, chi, a_floor)
+
+        monkeypatch.setattr(solver, "sensitivity_grad", counted)
+        result = run(small_config())
+        assert result.outcome.kind == "completed"
+        # one per accepted state; the final state steps no further
+        assert len(calls) == len({id(A) for A in calls})
