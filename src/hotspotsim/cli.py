@@ -123,6 +123,12 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}")
+    if config.dt_max is not None and not config.dt_max > 0:
+        raise ConfigError(f"time.dt_max must be positive, got {config.dt_max}")
+    if not config.guard_tol > 0:
+        raise ConfigError(
+            f"numerics.guard_tol must be positive, got {config.guard_tol}"
+        )
 
     out = doc.get("outputs", {})
     for switch in ("snapshots", "diagnostics"):
@@ -158,6 +164,54 @@ def _write_pgm(path: Path, field: ScalarField) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
+def _snapshot_tags(times) -> list[str]:
+    """File-name tags of the snapshot times: `f"{t:.6f}"`, or with the
+    fewest more decimals that give every time its own tag."""
+    # 1074 decimals print every double exactly, so distinct times part there
+    for digits in range(6, 1075):
+        tags = [f"{t:.{digits}f}" for t in times]
+        if len(set(tags)) == len(tags):
+            return tags
+    raise ValueError("two snapshots share one time")
+
+
+def _write_snapshot(stem: Path, field: ScalarField) -> None:
+    """One snapshot job: `<stem>.field`, `<stem>.pgm` and its sidecar."""
+    write_field(f"{stem}.field", field)
+    _write_pgm(Path(f"{stem}.pgm"), field)
+
+
+def _write_snapshots(out_dir: Path, snapshots) -> None:
+    """Write every snapshot field in worker processes, one job per field.
+    Float formatting holds the interpreter lock, so threads would not
+    overlap it.  Workers are forked, not spawned: a spawned worker imports
+    numpy and scipy again, which costs most of what the parallel write saves.
+    A job only formats floats, runs elementwise numpy and writes files, so
+    it needs no lock that another thread of the parent held at the fork."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    tags = _snapshot_tags([t for t, _, _ in snapshots])
+    jobs = [
+        (out_dir / f"{name}_{tag}", field)
+        for tag, (_, A, N) in zip(tags, snapshots)
+        for name, field in (("A", A), ("N", N))
+    ]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        futures = [pool.submit(_write_snapshot, *job) for job in jobs]
+        try:
+            # result() re-raises a worker's exception, OSError included
+            for future in futures:
+                future.result()
+        except BrokenProcessPool as exc:  # a worker was killed, say by a signal
+            raise OSError(
+                None, "a snapshot worker ended abruptly", str(out_dir)
+            ) from exc
+
+
 def _emit_outputs(result: solver.RunResult, out_opts: dict) -> None:
     out_dir = Path(out_opts["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,12 +221,7 @@ def _emit_outputs(result: solver.RunResult, out_opts: dict) -> None:
             for rec in result.records:
                 fh.write(rec.csv_row() + "\n")
     if out_opts["snapshots"]:
-        for t, A, N in result.snapshots:
-            tag = f"{t:.6f}"
-            write_field(out_dir / f"A_{tag}.field", A)
-            write_field(out_dir / f"N_{tag}.field", N)
-            _write_pgm(out_dir / f"A_{tag}.pgm", A)
-            _write_pgm(out_dir / f"N_{tag}.pgm", N)
+        _write_snapshots(out_dir, result.snapshots)
     doc = {
         "outcome": result.outcome.kind,
         "t_final": result.outcome.t,
@@ -197,7 +246,12 @@ def cmd_simulate(args) -> int:
     except solver.InitialConditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit_outputs(result, out_opts)
+    try:
+        _emit_outputs(result, out_opts)
+    except OSError as exc:
+        where = exc.filename or out_opts["dir"]
+        print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(f"outcome: {result.outcome.kind} at t={result.outcome.t:.6g}")
     if result.outcome.kind == "completed":
         return 0

@@ -272,12 +272,6 @@ def laplacian_l2sq(u: ScalarField) -> float:
 # Implicit Helmholtz solve
 # ---------------------------------------------------------------------------
 
-def dct_laplacian_symbol(grid: GridSpec, j: int, k: int = 0) -> float:
-    """Eigenvalue of the discrete Neumann Laplacian on the cosine mode (j,k)."""
-    s = lambda m: (4.0 / grid.h ** 2) * math.sin(math.pi * m / (2 * grid.n)) ** 2
-    return -(s(j) + s(k))
-
-
 def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> ScalarField:
     """Solve (1 + dt*lam) u - dt*d*Lap_h u = rhs under discrete Neumann
     conditions by cosine-basis diagonalization; checked to 1e-10 relative
@@ -386,29 +380,45 @@ def write_field(path, u: ScalarField) -> None:
 
 def read_field(path, grid: GridSpec | None = None) -> ScalarField:
     """Read a snapshot file; accepts the headered format or headerless CSV
-    (the latter needs an explicit grid to supply L)."""
+    (the latter needs an explicit grid to supply L).  A malformed file
+    raises ValueError naming the file and the part that is wrong."""
     with open(path) as fh:
         first = fh.readline()
         if first.startswith(_HEADER_PREFIX):
-            tokens = dict(t.split("=") for t in first.strip().split()[2:])
-            L, n = float(tokens["L"]), int(tokens["n"])
-            file_grid = GridSpec(L, n)
-            if grid is not None and (grid.n != n or grid.L != L):
+            tokens = dict(t.partition("=")[::2] for t in first.split()[2:])
+            for key in ("L", "n"):
+                if key not in tokens:
+                    raise ValueError(f"{path}: header has no {key}= entry")
+            try:
+                file_grid = GridSpec(float(tokens["L"]), int(tokens["n"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad header L= or n= entry: {exc}") from None
+            if grid is not None and grid != file_grid:
                 raise GridMismatch(
-                    f"file grid (L={L}, n={n}) does not match expected grid"
+                    f"{path}: file grid (L={file_grid.L}, n={file_grid.n}) "
+                    "does not match expected grid"
                 )
-            rows = [
-                np.array(fh.readline().split(), dtype=float) for _ in range(n)
-            ]
+            lines = [fh.readline() for _ in range(file_grid.n)]
+            sep = None
         else:
             if grid is None:
-                raise ValueError("headerless CSV needs an explicit GridSpec")
+                raise ValueError(f"{path}: headerless CSV needs an explicit GridSpec")
             file_grid = grid
             sep = "," if "," in first else None
-            rows = [np.array(first.split(sep), dtype=float)]
-            for _ in range(grid.n - 1):
-                rows.append(np.array(fh.readline().split(sep), dtype=float))
-    vals = np.vstack(rows)
-    if vals.shape != (file_grid.n, file_grid.n):
-        raise ValueError(f"expected {file_grid.n}x{file_grid.n} values, got {vals.shape}")
-    return ScalarField(file_grid, vals.T.copy())
+            lines = [first] + [fh.readline() for _ in range(grid.n - 1)]
+    n = file_grid.n
+    rows = []
+    for j, line in enumerate(lines):
+        if not line:
+            raise ValueError(f"{path}: file ends after {j} of {n} rows")
+        try:
+            row = np.array(line.split(sep), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {j + 1}: {exc}") from None
+        if row.shape != (n,):
+            raise ValueError(f"{path}: row {j + 1} has {row.size} values, expected {n}")
+        rows.append(row)
+    try:
+        return ScalarField(file_grid, np.vstack(rows).T.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,11 +1,13 @@
 import json
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hotspotsim import cli, solver
-from hotspotsim.grid import GridSpec, read_field
+from hotspotsim.grid import GridSpec, ScalarField, read_field, write_field
 
 
 def write_config(path, **overrides):
@@ -255,3 +257,144 @@ class TestSimulateInputErrors:
         assert err.startswith("error:")
         assert "positive" in err
         assert len(calls) == 1  # run() builds the initial condition
+
+
+def _snapshot_files(out_dir):
+    return sorted(p.name for p in out_dir.iterdir() if p.name.startswith(("A_", "N_")))
+
+
+class TestSnapshotEmission:
+    def test_files_match_a_serial_reference(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        assert cli.main(["simulate", str(cfg)]) == 0
+        config, _ = cli.load_config(cfg)
+        result = solver.run(config)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for t, A, N in result.snapshots:
+            for name, field in (("A", A), ("N", N)):
+                stem = f"{name}_{t:.6f}"
+                write_field(ref / f"{stem}.field", field)
+                cli._write_pgm(ref / f"{stem}.pgm", field)
+        out_dir = tmp_path / "out"
+        names = _snapshot_files(out_dir)
+        assert names == _snapshot_files(ref)
+        assert len(names) == 4 * 2 * 3  # 4 outputs, A and N, three files each
+        for name in names:
+            assert (out_dir / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_no_pool_without_snapshots(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"outputs.snapshots": False})
+        assert cli.main(["simulate", str(cfg)]) == 0
+        # the patch is where the emitter looks the executor up
+        write_config(cfg)
+        with pytest.raises(AssertionError, match="process pool"):
+            cli.main(["simulate", str(cfg)])
+
+    def test_sub_microsecond_outputs_keep_every_snapshot(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, time={
+            "t_end": 1e-6, "dt_init": 1e-7, "dt_min": 1e-9, "output_every": 1e-7,
+        })
+        assert cli.main(["simulate", str(cfg)]) == 0
+        out_dir = tmp_path / "out"
+        rows = (out_dir / "diagnostics.csv").read_text().splitlines()[1:]
+        a_files = sorted(out_dir.glob("A_*.field"))
+        assert len(rows) == 11
+        assert len(a_files) == 11
+        assert a_files[1].name == "A_0.0000001.field"
+        assert len(list(out_dir.glob("*.pgm.json"))) == 22
+
+    @pytest.mark.parametrize("times, tags", [
+        ([0.0, 0.01, 0.02], ["0.000000", "0.010000", "0.020000"]),
+        ([0.0, 1e-7, 2e-7], ["0.0000000", "0.0000001", "0.0000002"]),
+        ([1.0, 1.0 + 3e-9], ["1.000000000", "1.000000003"]),
+    ])
+    def test_snapshot_tags(self, times, tags):
+        assert cli._snapshot_tags(times) == tags
+
+
+def _die(stem, field):
+    """A snapshot job whose worker is killed; module level, so it pickles."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestEmissionErrors:
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n")
+        write_config(cfg)
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {blocker}: ")
+        assert "Traceback" not in err
+
+    def test_write_failure_in_a_worker(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        target = tmp_path / "out" / "A_0.010000.field"
+        target.mkdir(parents=True)  # a directory where a snapshot file goes
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: ")
+        assert "Traceback" not in err
+
+    def test_killed_worker(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_write_snapshot", _die)
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'out'}: ")
+        assert "worker" in err
+
+
+class TestNumericsValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("time.dt_max", 0),
+        ("time.dt_max", -1e-3),
+        ("numerics.guard_tol", -1),
+        ("numerics.guard_tol", 0),
+    ])
+    def test_nonpositive_setting_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{key: value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert key.split(".")[1] in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestMalformedFieldFile:
+    GOOD_ROW = " ".join(["1.0"] * 32) + "\n"
+
+    @pytest.mark.parametrize("text, part", [
+        ("hotspotfield v1 L=1.0\n" + GOOD_ROW * 32, "n="),
+        ("hotspotfield v1 n=32\n" + GOOD_ROW * 32, "L="),
+        ("hotspotfield v1 L=1.0 n=thirty-two\n" + GOOD_ROW * 32, "n="),
+        ("hotspotfield v1 L=1.0 n=32\n" + GOOD_ROW, "1 of 32 rows"),
+        ("hotspotfield v1 L=1.0 n=32\n" + GOOD_ROW * 5 + "1.0 2.0\n", "row 6"),
+        ("hotspotfield v1 L=1.0 n=32\n" + GOOD_ROW + "x" + GOOD_ROW * 31, "row 2"),
+    ], ids=["no-n", "no-L", "bad-n", "cut-off", "short-row", "bad-value"])
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, text, part):
+        bad = tmp_path / "bad_A.field"
+        bad.write_text(text)
+        good = tmp_path / "good_N.field"
+        write_field(good, ScalarField(GridSpec(1.0, 32), np.ones((32, 32))))
+        cfg = tmp_path / "run.json"
+        write_config(cfg, ic={"recipe": "file", "path_A": str(bad), "path_N": str(good)})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(bad) in err
+        assert part in err

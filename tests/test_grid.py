@@ -21,7 +21,6 @@ from hotspotsim.grid import (
     VectorField,
     _workspace,
     cosine_mode,
-    dct_laplacian_symbol,
     divergence,
     fisher,
     grad4,
@@ -40,6 +39,12 @@ from hotspotsim.grid import (
     spectral_hessian_norms,
     write_field,
 )
+
+
+def dct_laplacian_symbol(grid: GridSpec, j: int, k: int = 0) -> float:
+    """Eigenvalue of the discrete Neumann Laplacian on the cosine mode (j,k)."""
+    s = lambda m: (4.0 / grid.h ** 2) * math.sin(math.pi * m / (2 * grid.n)) ** 2
+    return -(s(j) + s(k))
 
 
 def rand_field(grid, seed=0, lo=0.5, hi=2.0):
