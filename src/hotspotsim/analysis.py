@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import grid as g
 from .grid import ScalarField, spectral_hessian_norms
-from .model import DerivedBounds, ModelParams, sensitivity_grad
+from .model import DerivedBounds, ModelParams, NonPositiveA, sensitivity_grad
 
 
 class AnalysisError(Exception):
@@ -25,10 +26,6 @@ class AnalysisError(Exception):
 
 
 class NegativeEntropyIntegrand(AnalysisError):
-    pass
-
-
-class NonPositiveA(AnalysisError):
     pass
 
 
@@ -319,36 +316,69 @@ class EnergyResiduals:
     id3_sign_ok: bool  # omega int(log N - N + 1) <= 0
 
 
-def _grad_dot(u: ScalarField, F) -> float:
-    """int grad(u) . F dx over interior faces."""
-    G = g.gradient(u)
-    h2 = u.grid.h ** 2
+class SnapshotTerms:
+    """The scalars of one output that the energy balances take in every
+    window the output sits in (up to three), each computed at most once:
+    ||A||_2^2, ||grad A||_2^2, the Boltzmann entropy of N and ||N||_2^2.
+    A known ||grad A||_2^2, such as a diagnostics record's, may be given."""
+
+    def __init__(
+        self, A: ScalarField, N: ScalarField, grad_A_l2sq: Optional[float] = None
+    ):
+        self.A, self.N = A, N
+        if grad_A_l2sq is not None:
+            self.grad_A_l2sq = grad_A_l2sq
+
+    @cached_property
+    def A_l2sq(self) -> float:
+        return g.lp_norm(self.A, 2) ** 2
+
+    @cached_property
+    def grad_A_l2sq(self) -> float:
+        return g.grad_l2sq(self.A)
+
+    @cached_property
+    def entropy(self) -> float:
+        return boltzmann_entropy(self.N)
+
+    @cached_property
+    def N_l2sq(self) -> float:
+        return g.lp_norm(self.N, 2) ** 2
+
+
+def _grad_dot(G, F) -> float:
+    """int grad(u) . F dx over interior faces, from G = grad(u)."""
+    h2 = G.grid.h ** 2
     return float((np.sum(G.fx * F.fx) + np.sum(G.fy * F.fy)) * h2)
 
 
-def _weighted_grad_dot(w: ScalarField, u: ScalarField, F) -> float:
-    """int w grad(u) . F dx with w averaged to faces."""
-    from .grid import _face_means
-
-    G = g.gradient(u)
-    wfx, wfy = _face_means(w)
-    h2 = u.grid.h ** 2
+def _weighted_grad_dot(w_means, G, F) -> float:
+    """int w grad(u) . F dx from the face means of w and G = grad(u)."""
+    wfx, wfy = w_means
+    h2 = G.grid.h ** 2
     return float(
         (np.sum(wfx * G.fx[1:-1, :] * F.fx[1:-1, :])
          + np.sum(wfy * G.fy[:, 1:-1] * F.fy[:, 1:-1])) * h2
     )
 
 
-def energy_residuals(window, params: ModelParams) -> EnergyResiduals:
+def energy_residuals(
+    window, params: ModelParams, *, terms: Optional[Sequence[SnapshotTerms]] = None
+) -> EnergyResiduals:
     """Absolute defects of the four energy balances on a uniformly spaced
     window of three consecutive outputs ((t-d, A, N), (t, A, N), (t+d, A, N)),
-    with time derivatives by central differences at the middle time."""
+    with time derivatives by central differences at the middle time.
+    `terms` are the three outputs' SnapshotTerms, when the caller keeps them
+    for the next windows."""
     (t0, A0, N0), (t1, A1, N1), (t2, A2, N2) = window
     d0, d1 = t1 - t0, t2 - t1
     if d0 <= 0 or abs(d1 - d0) > 1e-9 * max(d0, d1):
         raise ValueError("window must be uniformly spaced in time")
     if min(np.min(N0.values), np.min(N1.values), np.min(N2.values)) <= 0:
         raise NonPositiveN("the entropy balance needs N > 0 on the whole window")
+    if terms is None:
+        terms = [SnapshotTerms(A, N) for _, A, N in window]
+    s0, s1, s2 = terms
     two_d = t2 - t0
     area_w = A1.grid.h ** 2
 
@@ -361,38 +391,46 @@ def energy_residuals(window, params: ModelParams) -> EnergyResiduals:
         params.chi,
     )
 
-    d_a2 = (g.lp_norm(A2, 2) ** 2 - g.lp_norm(A0, 2) ** 2) / two_d
+    d_a2 = (s2.A_l2sq - s0.A_l2sq) / two_d
     r1 = abs(
         0.5 * d_a2
-        + g.lp_norm(A1, 2) ** 2
-        + eta * g.grad_l2sq(A1)
+        + s1.A_l2sq
+        + eta * s1.grad_A_l2sq
         - psi * float(np.sum(n * a ** 2 * (1.0 - a))) * area_w
         - atilde * g.integral(A1)
     )
 
-    d_grad = (g.grad_l2sq(A2) - g.grad_l2sq(A0)) / two_d
+    d_grad = (s2.grad_A_l2sq - s0.grad_A_l2sq) / two_d
     lap_a = g.laplacian(A1).values
     r2 = abs(
         0.5 * d_grad
-        + g.grad_l2sq(A1)
-        + eta * g.laplacian_l2sq(A1)
+        + s1.grad_A_l2sq
+        + eta * (float(np.sum(lap_a ** 2)) * area_w)
         + psi * float(np.sum(n * a * (1.0 - a) * lap_a)) * area_w
     )
+    del lap_a  # one field fewer alive while the N terms below are built
 
+    # the gradient of N1 and its face means serve the fisher term, both
+    # dot products and ||grad N1||_2^2; N1 > 0 was checked above
     theta_grad = sensitivity_grad(A1, chi, float(np.min(a)) / 2.0)
-    ent1 = boltzmann_entropy(N1)
-    d_ent = (boltzmann_entropy(N2) - boltzmann_entropy(N0)) / two_d
+    grad_n = g.gradient(N1)
+    n_means = g._face_means(N1)
+    d_ent = (s2.entropy - s0.entropy) / two_d
     id3_rhs = omega * float(np.sum(np.log(n) - n + 1.0)) * area_w
     r3 = abs(
-        d_ent + omega * ent1 + g.fisher(N1) - _grad_dot(N1, theta_grad) - id3_rhs
+        d_ent
+        + omega * s1.entropy
+        + g._fisher(grad_n, n_means)
+        - _grad_dot(grad_n, theta_grad)
+        - id3_rhs
     )
 
-    d_n2 = (g.lp_norm(N2, 2) ** 2 - g.lp_norm(N0, 2) ** 2) / two_d
+    d_n2 = (s2.N_l2sq - s0.N_l2sq) / two_d
     r4 = abs(
         0.5 * d_n2
-        + omega * g.lp_norm(N1, 2) ** 2
-        + g.grad_l2sq(N1)
-        - _weighted_grad_dot(N1, N1, theta_grad)
+        + omega * s1.N_l2sq
+        + float(np.sum(g._grad_sq_cells(grad_n))) * area_w
+        - _weighted_grad_dot(n_means, grad_n, theta_grad)
         - omega * g.integral(N1)
     )
 

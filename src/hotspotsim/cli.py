@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -50,6 +51,17 @@ def _check_keys(section: str, doc: dict) -> None:
     unknown = set(doc) - _SECTIONS[section]
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{section}'")
+
+
+def _cosine_mode(ic_doc: dict, key: str, n: int) -> int:
+    """A cosine mode index of the initial bump: a JSON integer that the
+    grid resolves, 0 <= mode < n (mode n samples to zero at every cell)."""
+    mode = ic_doc.get(key, 1)
+    if isinstance(mode, bool) or not isinstance(mode, int) or not 0 <= mode < n:
+        raise ConfigError(
+            f"ic.{key} must be an integer in [0, {n}) on an n={n} grid, got {mode!r}"
+        )
+    return mode
 
 
 def load_config(path) -> tuple[solver.SimConfig, dict]:
@@ -100,8 +112,8 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
             a0=ic_doc.get("a0"),
             n0=ic_doc.get("n0"),
             amplitude=ic_doc.get("amplitude"),
-            mode_j=int(ic_doc.get("mode_j", 1)),
-            mode_k=int(ic_doc.get("mode_k", 1)),
+            mode_j=_cosine_mode(ic_doc, "mode_j", grid.n),
+            mode_k=_cosine_mode(ic_doc, "mode_k", grid.n),
             path_A=ic_doc.get("path_A"),
             path_N=ic_doc.get("path_N"),
         )
@@ -212,9 +224,24 @@ def _write_snapshots(out_dir: Path, snapshots) -> None:
             ) from exc
 
 
+# the names `_write_snapshots` gives its files; a time tag has at least six
+# decimals (see _snapshot_tags)
+_SNAPSHOT_NAME = re.compile(r"[AN]_[0-9]+\.[0-9]{6,}\.(?:field|pgm|pgm\.json)")
+
+
+def _remove_snapshots(out_dir: Path) -> None:
+    """Delete the snapshot files an earlier run left in `out_dir`, so none
+    is mistaken for an output of this run; no file of another name."""
+    with os.scandir(out_dir) as entries:
+        for entry in entries:
+            if _SNAPSHOT_NAME.fullmatch(entry.name) and entry.is_file():
+                os.unlink(entry.path)
+
+
 def _emit_outputs(result: solver.RunResult, out_opts: dict) -> None:
     out_dir = Path(out_opts["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_snapshots(out_dir)
     if out_opts["diagnostics"]:
         with open(out_dir / "diagnostics.csv", "w", buffering=1) as fh:
             fh.write(",".join(analysis.CSV_COLUMNS) + "\n")
@@ -227,6 +254,8 @@ def _emit_outputs(result: solver.RunResult, out_opts: dict) -> None:
         "t_final": result.outcome.t,
         "reason": result.outcome.reason,
         "max_step_mass_residual": result.max_step_mass_residual,
+        "steps_accepted": result.steps_accepted,
+        "steps_rejected": result.steps_rejected,
     }
     (out_dir / "outcome.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

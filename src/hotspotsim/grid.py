@@ -141,8 +141,9 @@ class _Workspace:
         # boundary-normal ones stay zero (no-flux)
         self.fx = np.zeros((n + 1, n))
         self.fy = np.zeros((n, n + 1))
-        # a solve's denominator, then its residual's Laplacian
+        # a solve's denominator, then its residual's neighbour sums
         self.cell = np.empty((n, n))
+        # the residual of the last solve on this grid
         self.residual = np.empty((n, n))
         # the explicit stages of a step, the right-hand sides of its solves
         self.rhs_A = np.empty((n, n))
@@ -235,32 +236,36 @@ def fisher(u: ScalarField) -> float:
     """int |grad u|^2 / u with u evaluated at faces by arithmetic mean."""
     if np.min(u.values) <= 0.0:
         raise NonPositiveField("fisher functional requires u > 0 everywhere")
-    F = gradient(u)
-    ufx, ufy = _face_means(u)
-    h2 = u.grid.h ** 2
+    return _fisher(gradient(u), _face_means(u))
+
+
+def _fisher(F: VectorField, means: tuple[np.ndarray, np.ndarray]) -> float:
+    """The fisher functional from the gradient of u and its face means."""
+    ufx, ufy = means
+    h2 = F.grid.h ** 2
     return float(
         (np.sum(F.fx[1:-1, :] ** 2 / ufx) + np.sum(F.fy[:, 1:-1] ** 2 / ufy)) * h2
     )
 
 
-def _grad_sq_cells(u: ScalarField) -> np.ndarray:
-    """|grad u|^2 at cell centers: average of squared adjacent face gradients."""
-    F = gradient(u)
+def _grad_sq_cells(F: VectorField) -> np.ndarray:
+    """|grad u|^2 at cell centers from the face gradient F of u: average of
+    squared adjacent face gradients."""
     gx2 = 0.5 * (F.fx[:-1, :] ** 2 + F.fx[1:, :] ** 2)
     gy2 = 0.5 * (F.fy[:, :-1] ** 2 + F.fy[:, 1:] ** 2)
     return gx2 + gy2
 
 
 def grad_l2sq(u: ScalarField) -> float:
-    return float(np.sum(_grad_sq_cells(u))) * u.grid.h ** 2
+    return float(np.sum(_grad_sq_cells(gradient(u)))) * u.grid.h ** 2
 
 
 def grad_l1(u: ScalarField) -> float:
-    return float(np.sum(np.sqrt(_grad_sq_cells(u)))) * u.grid.h ** 2
+    return float(np.sum(np.sqrt(_grad_sq_cells(gradient(u))))) * u.grid.h ** 2
 
 
 def grad4(u: ScalarField) -> float:
-    return float(np.sum(_grad_sq_cells(u) ** 2)) * u.grid.h ** 2
+    return float(np.sum(_grad_sq_cells(gradient(u)) ** 2)) * u.grid.h ** 2
 
 
 def laplacian_l2sq(u: ScalarField) -> float:
@@ -291,17 +296,36 @@ def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> Scalar
         ScalarField, g, values=_fft.idctn(uh, type=2, norm="ortho", overwrite_x=True)
     )
 
-    # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs
-    lap = laplacian(u, out=ws.cell).values
-    lap *= dt * d
-    applied = np.multiply(u.values, c, out=ws.residual)
-    applied -= lap
+    # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs, as one
+    # five-point stencil: (c + 4k) u - k (sum of the four neighbours) - rhs
+    # with k = dt*d/h^2, a neighbour across the boundary being the mirror
+    # ghost, that is the cell itself
+    k = dt * d / g.h ** 2
+    nb = _neighbour_sum(u.values, ws.cell, ws.residual)
+    nb *= k
+    applied = np.multiply(u.values, c + 4.0 * k, out=ws.residual)
+    applied -= nb
     applied -= rhs.values
     scale = max(float(np.linalg.norm(rhs.values)), np.finfo(float).tiny)
     rel = float(np.linalg.norm(applied)) / scale
     if rel > HELMHOLTZ_TOL:
         raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
     return u
+
+
+def _neighbour_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum of the four neighbours of every cell into `out`, with mirror
+    ghost cells: the neighbour across the boundary is the cell itself.
+    The y sums go through `scratch`: writing them straight into `out`
+    would be in-place arithmetic on strided views, which is slower."""
+    np.add(v[:-2, :], v[2:, :], out=out[1:-1, :])
+    np.add(v[0, :], v[1, :], out=out[0, :])
+    np.add(v[-2, :], v[-1, :], out=out[-1, :])
+    np.add(v[:, :-2], v[:, 2:], out=scratch[:, 1:-1])
+    np.add(v[:, 0], v[:, 1], out=scratch[:, 0])
+    np.add(v[:, -2], v[:, -1], out=scratch[:, -1])
+    out += scratch
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ class RunResult:
     snapshots: list  # (t, A, N) at output times
     outcome: Outcome
     max_step_mass_residual: float
+    steps_accepted: int
+    steps_rejected: int  # guard-driven step halvings
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,7 @@ def run(config: SimConfig) -> RunResult:
     max_mass_res = 0.0
     dt = min(config.dt_init, config.output_every)
     out_idx = 1
+    rejected = 0
 
     try:
         while state.t < config.t_end - _SNAP:
@@ -363,6 +366,7 @@ def run(config: SimConfig) -> RunResult:
                 except (PositivityBreach, NonFinite):
                     dt_try *= 0.5
                     halved = True
+                    rejected += 1
                     continue
                 break
             if outcome.kind != "completed":
@@ -396,17 +400,25 @@ def run(config: SimConfig) -> RunResult:
 
     if pitcher:
         _attach_energy_residuals(records, snapshots, params)
-    return RunResult(records, snapshots, outcome, max_mass_res)
+    return RunResult(
+        records, snapshots, outcome, max_mass_res, state.step_count, rejected
+    )
 
 
 def _attach_energy_residuals(records, snapshots, params: ModelParams) -> None:
-    """Fill r1..r4 wherever a uniformly spaced three-output window exists."""
+    """Fill r1..r4 wherever a uniformly spaced three-output window exists.
+    Each output's scalars are computed once for all its windows, and its
+    ||grad A||_2^2 is the one its diagnostics record holds."""
+    terms = [
+        analysis.SnapshotTerms(A, N, rec.grad_A_l2sq)
+        for (_, A, N), rec in zip(snapshots, records)
+    ]
     for i in range(1, len(snapshots) - 1):
         t0, t1, t2 = snapshots[i - 1][0], snapshots[i][0], snapshots[i + 1][0]
         if abs((t2 - t1) - (t1 - t0)) > 1e-9 * max(t1 - t0, t2 - t1):
             continue
-        if min(np.min(snapshots[i + k - 1][2].values) for k in range(3)) <= 0:
+        if min(rec.minN for rec in records[i - 1 : i + 2]) <= 0:
             continue
         records[i].residuals = analysis.energy_residuals(
-            (snapshots[i - 1], snapshots[i], snapshots[i + 1]), params
+            snapshots[i - 1 : i + 2], params, terms=terms[i - 1 : i + 2]
         )

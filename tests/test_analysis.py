@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotspotsim import analysis
+from hotspotsim import grid as g
 from hotspotsim.analysis import (
     EPS0_SQUARE,
     K_SQUARE,
@@ -31,7 +32,13 @@ from hotspotsim.analysis import (
     verify_apriori,
 )
 from hotspotsim.grid import GridSpec, ScalarField, cosine_mode, sample_cosine_field
-from hotspotsim.model import DerivedBounds, ModelParams, steady_state
+from hotspotsim.model import (
+    DerivedBounds,
+    ModelParams,
+    NonPositiveA,
+    sensitivity_grad,
+    steady_state,
+)
 from hotspotsim.solver import SimState
 
 PSI = 0.0046667
@@ -222,6 +229,9 @@ class TestEntropyFunctionals:
         with pytest.raises(analysis.NonPositiveA):
             entropy_Y(SimState(0.0, A, N), 0.5)
 
+    def test_one_nonpositive_A_error(self):
+        assert analysis.NonPositiveA is NonPositiveA
+
 
 class TestChooseC:
     def test_feasibility_boundary(self):
@@ -282,7 +292,66 @@ class TestAprioriMonitors:
         assert not late.npos_ok
 
 
+def _reference_energy_residuals(window, params):
+    """The four balance defects written out from the public functionals,
+    one call per term, in the order and with the operands of the formulas."""
+    (t0, A0, N0), (t1, A1, N1), (t2, A2, N2) = window
+    two_d = t2 - t0
+    h2 = A1.grid.h ** 2
+    a, n = A1.values, N1.values
+    p = params
+
+    r1 = abs(
+        0.5 * ((g.lp_norm(A2, 2) ** 2 - g.lp_norm(A0, 2) ** 2) / two_d)
+        + g.lp_norm(A1, 2) ** 2
+        + p.eta * g.grad_l2sq(A1)
+        - p.psi * float(np.sum(n * a ** 2 * (1.0 - a))) * h2
+        - p.atilde * g.integral(A1)
+    )
+    r2 = abs(
+        0.5 * ((g.grad_l2sq(A2) - g.grad_l2sq(A0)) / two_d)
+        + g.grad_l2sq(A1)
+        + p.eta * g.laplacian_l2sq(A1)
+        + p.psi * float(np.sum(n * a * (1.0 - a) * g.laplacian(A1).values)) * h2
+    )
+    theta = sensitivity_grad(A1, p.chi, float(np.min(a)) / 2.0)
+    G = g.gradient(N1)
+    id3_rhs = p.omega * float(np.sum(np.log(n) - n + 1.0)) * h2
+    r3 = abs(
+        (boltzmann_entropy(N2) - boltzmann_entropy(N0)) / two_d
+        + p.omega * boltzmann_entropy(N1)
+        + g.fisher(N1)
+        - float((np.sum(G.fx * theta.fx) + np.sum(G.fy * theta.fy)) * h2)
+        - id3_rhs
+    )
+    nfx, nfy = 0.5 * (n[1:, :] + n[:-1, :]), 0.5 * (n[:, 1:] + n[:, :-1])
+    r4 = abs(
+        0.5 * ((g.lp_norm(N2, 2) ** 2 - g.lp_norm(N0, 2) ** 2) / two_d)
+        + p.omega * g.lp_norm(N1, 2) ** 2
+        + g.grad_l2sq(N1)
+        - float(
+            (np.sum(nfx * G.fx[1:-1, :] * theta.fx[1:-1, :])
+             + np.sum(nfy * G.fy[:, 1:-1] * theta.fy[:, 1:-1])) * h2
+        )
+        - p.omega * g.integral(N1)
+    )
+    return r1, r2, r3, r4, id3_rhs <= 1e-12
+
+
 class TestEnergyResiduals:
+    def test_bitwise_equal_to_reference(self):
+        grid = GridSpec(L=1.0, n=24)
+        window = []
+        for k in range(3):
+            a, _ = sample_cosine_field(10 + k, 4, 0.005, grid)
+            n, _ = sample_cosine_field(20 + k, 4, 0.02, grid)
+            window.append((0.01 * k, ScalarField(grid, 0.8 + a.values),
+                           ScalarField(grid, 1.0 + n.values)))
+        res = energy_residuals(window, PARAMS)
+        got = (res.r1, res.r2, res.r3, res.r4, res.id3_sign_ok)
+        assert got == _reference_energy_residuals(window, PARAMS)
+        assert all(r > 0 for r in got[:4])  # the fields are far from a solution
+
     def steady_window(self, grid, dt=0.01):
         a_star, n_star = steady_state(PARAMS)
         states = [const_state(grid, a_star, n_star, t=k * dt) for k in range(3)]

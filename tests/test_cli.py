@@ -259,6 +259,32 @@ class TestSimulateInputErrors:
         assert len(calls) == 1  # run() builds the initial condition
 
 
+class TestInitialConditionModes:
+    @pytest.mark.parametrize("key", ["mode_j", "mode_k"])
+    @pytest.mark.parametrize("value", [16, 17, -3, 1.7, 2.0, "2", True, None],
+                             ids=["n", "past-n", "negative", "fraction",
+                                  "float", "string", "bool", "null"])
+    def test_unresolvable_or_non_integer_mode_rejected(
+        self, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "ic.amplitude": 0.05, f"ic.{key}": value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"ic.{key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("j, k", [(0, 15), (15, 0), (3, 2)])
+    def test_resolvable_modes_accepted(self, tmp_path, capsys, j, k):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "ic.amplitude": 0.05,
+                             "ic.mode_j": j, "ic.mode_k": k})
+        config, _ = cli.load_config(cfg)
+        assert (config.ic.mode_j, config.ic.mode_k) == (j, k)
+
+
 def _snapshot_files(out_dir):
     return sorted(p.name for p in out_dir.iterdir() if p.name.startswith(("A_", "N_")))
 
@@ -313,6 +339,27 @@ class TestSnapshotEmission:
         assert a_files[1].name == "A_0.0000001.field"
         assert len(list(out_dir.glob("*.pgm.json"))) == 22
 
+    def test_rerun_removes_snapshots_of_the_earlier_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        out_dir = tmp_path / "out"
+        write_config(cfg)  # outputs every 0.01 up to 0.03
+        assert cli.main(["simulate", str(cfg)]) == 0
+        assert (out_dir / "A_0.010000.field").exists()
+        kept = ["notes.txt", "A_0.01.field", "A_final.field", "B_0.010000.field",
+                "A_0.010000.field.bak", "N_0.010000.pgm.txt"]
+        for name in kept:
+            (out_dir / name).write_text("not a snapshot of this program\n")
+        write_config(cfg, **{"time.output_every": 0.015})
+        assert cli.main(["simulate", str(cfg)]) == 0
+        rows = (out_dir / "diagnostics.csv").read_text().splitlines()[1:]
+        tags = [f"{float(row.split(',')[0]):.6f}" for row in rows]
+        assert tags == ["0.000000", "0.015000", "0.030000"]
+        expected = sorted(f"{name}_{tag}{ext}" for tag in tags for name in "AN"
+                          for ext in (".field", ".pgm", ".pgm.json"))
+        assert _snapshot_files(out_dir) == sorted(expected + kept[1:3] + kept[4:])
+        for name in kept:
+            assert (out_dir / name).read_text() == "not a snapshot of this program\n"
+
     @pytest.mark.parametrize("times, tags", [
         ([0.0, 0.01, 0.02], ["0.000000", "0.010000", "0.020000"]),
         ([0.0, 1e-7, 2e-7], ["0.0000000", "0.0000001", "0.0000002"]),
@@ -325,6 +372,44 @@ class TestSnapshotEmission:
 def _die(stem, field):
     """A snapshot job whose worker is killed; module level, so it pickles."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestStepCounts:
+    def test_outcome_reports_accepted_and_rejected_steps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        counts = {"accepted": 0, "rejected": 0}
+        real = solver.step
+
+        def counting(*args, **kwargs):
+            try:
+                new = real(*args, **kwargs)
+            except (solver.PositivityBreach, solver.NonFinite):
+                counts["rejected"] += 1
+                raise
+            counts["accepted"] += 1
+            return new
+
+        monkeypatch.setattr(solver, "step", counting)
+        cfg = tmp_path / "run.json"
+        write_config(
+            cfg,
+            model={"kind": "short", "eta": 0.05, "a0": 0.2, "abar": 0.8, "chi": 4.0},
+            grid={"L": 1.0, "n": 16},
+            time={"t_end": 2.0, "dt_init": 5e-4, "dt_min": 1e-9, "output_every": 0.16},
+            ic={"recipe": "perturbed_steady", "amplitude": 0.5,
+                "mode_j": 2, "mode_k": 1},
+            **{"outputs.snapshots": False},
+        )
+        assert cli.main(["simulate", str(cfg)]) == 3
+        first = (tmp_path / "out" / "outcome.json").read_bytes()
+        doc = json.loads(first)
+        assert doc["outcome"] == "blowup_suspected"
+        assert counts["rejected"] > 0
+        assert doc["steps_accepted"] == counts["accepted"]
+        assert doc["steps_rejected"] == counts["rejected"]
+        assert cli.main(["simulate", str(cfg)]) == 3
+        assert (tmp_path / "out" / "outcome.json").read_bytes() == first
 
 
 class TestEmissionErrors:

@@ -17,6 +17,7 @@ from hotspotsim.grid import (
     GridSpec,
     InvalidExponent,
     ScalarField,
+    SolveFailure,
     UnresolvableMode,
     VectorField,
     _workspace,
@@ -237,6 +238,37 @@ class TestHelmholtz:
         applied = (1.0 + 0.002 * 84.0) * u.values - 0.002 * 0.05 * laplacian(u).values
         rel = np.linalg.norm(applied - rhs.values) / np.linalg.norm(rhs.values)
         assert rel <= HELMHOLTZ_TOL
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 64])
+    @pytest.mark.parametrize("d, lam, dt", [(0.1, 1.0, 1e-3), (1.0, 84.0, 2e-4)])
+    def test_checked_residual_matches_div_grad(self, n, d, lam, dt):
+        # the workspace keeps the residual the solve checked
+        rhs = rand_field(GridSpec(L=1.0, n=n), seed=n)
+        u = helmholtz_solve(rhs, d, lam, dt)
+        scale = np.linalg.norm(rhs.values)
+        div_grad = (1.0 + dt * lam) * u.values - dt * d * laplacian(u).values
+        rel_div_grad = np.linalg.norm(div_grad - rhs.values) / scale
+        rel_checked = np.linalg.norm(_workspace(rhs.grid).residual) / scale
+        assert abs(rel_checked - rel_div_grad) <= 1e-14
+
+    @pytest.mark.parametrize("cell", [(13, 5), (0, 7), (31, 0)],
+                             ids=["interior", "edge", "corner"])
+    def test_corrupted_cell_fails_the_residual_check(self, monkeypatch, cell):
+        real = hotspotsim.grid._fft
+
+        class CorruptedFFT:
+            dctn = staticmethod(real.dctn)
+
+            @staticmethod
+            def idctn(x, *args, **kwargs):
+                u = real.idctn(x, *args, **kwargs)
+                u[cell] += 1e-6
+                return u
+
+        monkeypatch.setattr(hotspotsim.grid, "_fft", CorruptedFFT)
+        rhs = rand_field(GridSpec(L=1.0, n=32), seed=4)
+        with pytest.raises(SolveFailure, match="residual"):
+            helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
 
     def test_zero_diffusion_reduces_to_scaling(self):
         rhs = rand_field(GridSpec(L=1.0, n=16), seed=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
+from hotspotsim import analysis
 from hotspotsim import grid as grid_module
 from hotspotsim import solver
 from hotspotsim.grid import (
@@ -240,6 +241,24 @@ class TestRun:
             assert rec.residuals is not None
             assert rec.residuals.id3_sign_ok
 
+    @pytest.mark.parametrize("t_end", [0.05, 0.045])
+    def test_attached_residuals_equal_window_by_window_calls(self, t_end):
+        # t_end 0.045 ends on a short output interval: that window is skipped
+        result = run(small_config(t_end=t_end))
+        snaps = result.snapshots
+        expected = [None]
+        for i in range(1, len(snaps) - 1):
+            (t0, _, _), (t1, _, _), (t2, _, _) = snaps[i - 1 : i + 2]
+            uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
+            expected.append(
+                analysis.energy_residuals(snaps[i - 1 : i + 2], PARAMS)
+                if uniform
+                else None
+            )
+        expected.append(None)
+        assert [rec.residuals for rec in result.records] == expected
+        assert expected.count(None) == (2 if t_end == 0.05 else 3)
+
     def test_monitor_flags_present_for_main_model(self):
         result = run(small_config())
         for rec in result.records:
@@ -400,6 +419,27 @@ class TestNumericalFailuresAreOutcomes:
         result = run(small_config())
         assert result.outcome.kind == "failed"
         assert "below floor" in result.outcome.reason
+
+    def test_nonpositive_A_at_an_output_fails(self, monkeypatch):
+        # chi <= 1, so the record computes the modified entropy Y, whose
+        # log weight needs A > 0
+        real_step = solver.step
+
+        def sinking(state, dt, config, bounds=None, a_floor=None):
+            new = real_step(state, dt, config, bounds, a_floor)
+            A = ScalarField(new.A.grid, new.A.values - 10.0)
+            return SimState(new.t, A, new.N, new.step_count)
+
+        monkeypatch.setattr(solver, "step", sinking)
+        cfg = small_config(
+            params=ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=0.5),
+            ic=InitialCondition("constants", a0=0.8, n0=1.0),
+            dt_init=0.01,
+        )
+        result = run(cfg)
+        assert result.outcome.kind == "failed"
+        assert result.outcome.t == pytest.approx(0.01)
+        assert "positive" in result.outcome.reason
 
     def test_corrupted_inverse_dct_fails_the_residual_check(self, monkeypatch):
         real = grid_module._fft
