@@ -17,11 +17,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import grid as g
-from .grid import ScalarField, spectral_hessian_norms
+from .grid import HotspotError, ScalarField, spectral_hessian_norms
 from .model import DerivedBounds, ModelParams, NonPositiveA, sensitivity_grad
 
 
-class AnalysisError(Exception):
+class AnalysisError(HotspotError):
     pass
 
 

@@ -18,7 +18,11 @@ import numpy as np
 from scipy import fft as _fft
 
 
-class GridError(Exception):
+class HotspotError(Exception):
+    """Root of every error this package raises for a failure it names."""
+
+
+class GridError(HotspotError):
     """Base class for grid-level failures."""
 
 

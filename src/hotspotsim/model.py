@@ -12,16 +12,18 @@ import numpy as np
 
 from .grid import (
     GridSpec,
+    HotspotError,
     ScalarField,
     VectorField,
     _face_means,
     _same_grid,
     _trusted,
+    gradient,
     lp_norm,
 )
 
 
-class ModelError(Exception):
+class ModelError(HotspotError):
     pass
 
 
@@ -51,8 +53,27 @@ POSITIVITY_MESSAGE = (
 )
 
 
+class ModelKind:
+    """What the solver asks of a model: its reaction split into an explicit
+    part and implicit linear decay rates, its chemotactic face velocity,
+    its homogeneous steady state and its invariant-region bounds."""
+
+    def reaction(self, grid: GridSpec, a: np.ndarray, n: np.ndarray):
+        """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc."""
+        raise NotImplementedError
+
+    def velocity(self, A: ScalarField, a_floor: float) -> VectorField:
+        return sensitivity_grad(A, self.chi, a_floor)
+
+    def steady_state(self) -> tuple[float, float]:
+        raise ValueError("perturbed_steady is only defined for the built-in model kinds")
+
+    def bounds(self, A0: ScalarField, N0: ScalarField) -> DerivedBounds | None:
+        return None
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(ModelKind):
     """Coefficients of the main system: attractiveness diffusivity eta,
     burglary boost rate psi, burglar relaxation rate omega, static
     attractiveness atilde, sensitivity strength chi."""
@@ -68,9 +89,19 @@ class ModelParams:
         if not all(v > 0 for v in vals):
             raise ValueError(f"{POSITIVITY_MESSAGE}; got {self}")
 
+    def reaction(self, grid, a, n):
+        rA = self.psi * n * a * (1.0 - a) + self.atilde
+        return rA, np.full_like(n, self.omega), 1.0, self.omega
+
+    def steady_state(self):
+        return steady_state(self)
+
+    def bounds(self, A0, N0):
+        return derived_bounds(A0, N0, self)
+
 
 @dataclass(frozen=True)
-class ShortParams:
+class ShortParams(ModelKind):
     """Coefficients of the Short et al. variant: diffusivity eta, intrinsic
     attractiveness a0, average attractiveness abar, sensitivity chi."""
 
@@ -84,6 +115,12 @@ class ShortParams:
             raise ValueError(
                 f"coefficients eta, a0, abar, chi must be strictly positive; got {self}"
             )
+
+    def reaction(self, grid, a, n):
+        return n * a + self.a0, -n * a + self.abar - self.a0, 1.0, 0.0
+
+    def steady_state(self):
+        return short_steady_state(self)
 
 
 @dataclass(frozen=True)
@@ -104,7 +141,7 @@ EnvelopeFn = Union[float, Callable[[float], float]]
 
 
 @dataclass
-class GeneralModel:
+class GeneralModel(ModelKind):
     """Plugin contract for the generalized chemotaxis system
     A_t = eta Lap A - A + f(A,N),  N_t = Lap N - div(N grad h(A)) - omega N + g(A,N).
 
@@ -132,8 +169,14 @@ class GeneralModel:
         if not (self.eta > 0 and self.omega > 0):
             raise ValueError("eta and omega must be positive")
 
+    def reaction(self, grid, a, n):
+        rA = plugin_field(grid, "f", self.f(a, n)).values
+        rN = plugin_field(grid, "g", self.g(a, n)).values
+        return rA, rN, 1.0, self.omega
 
-ModelKind = Union[ModelParams, ShortParams, GeneralModel]
+    def velocity(self, A, a_floor):
+        # generalized sensitivity: gradient of h(A) sampled at cells
+        return gradient(plugin_field(A.grid, "h", self.h(A.values)))
 
 
 def plugin_field(grid: GridSpec, name: str, values) -> ScalarField:
@@ -164,20 +207,7 @@ def reaction_terms(
         raise NonPositiveA("attractiveness must be positive everywhere")
     if np.min(n) < -atol:
         raise NegativeN(f"criminal density fell below -{atol}")
-    if isinstance(kind, ModelParams):
-        rA = kind.psi * n * a * (1.0 - a) + kind.atilde
-        rN = np.full_like(n, kind.omega)
-        lam_A, lam_N = 1.0, kind.omega
-    elif isinstance(kind, ShortParams):
-        rA = n * a + kind.a0
-        rN = -n * a + kind.abar - kind.a0
-        lam_A, lam_N = 1.0, 0.0
-    elif isinstance(kind, GeneralModel):
-        rA = plugin_field(g, "f", kind.f(a, n)).values
-        rN = plugin_field(g, "g", kind.g(a, n)).values
-        lam_A, lam_N = 1.0, kind.omega
-    else:
-        raise TypeError(f"unknown model kind {type(kind)!r}")
+    rA, rN, lam_A, lam_N = kind.reaction(g, a, n)
     return (
         _trusted(ScalarField, g, values=rA),
         _trusted(ScalarField, g, values=rN),

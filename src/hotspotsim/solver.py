@@ -20,33 +20,21 @@ from . import analysis
 from .grid import (
     GridError,
     GridSpec,
+    HotspotError,
     ScalarField,
     VectorField,
     _trusted,
     _workspace,
     divergence,
-    gradient,
     helmholtz_solve,
     integral,
     read_field,
     cosine_mode,
 )
-from .model import (
-    DerivedBounds,
-    ModelError,
-    ModelKind,
-    ModelParams,
-    ShortParams,
-    derived_bounds,
-    plugin_field,
-    reaction_terms,
-    sensitivity_grad,
-    short_steady_state,
-    steady_state,
-)
+from .model import DerivedBounds, ModelKind, reaction_terms
 
 
-class SolverError(Exception):
+class SolverError(HotspotError):
     pass
 
 
@@ -59,7 +47,7 @@ class NonFinite(SolverError):
     pass
 
 
-class InitialConditionError(ValueError):
+class InitialConditionError(HotspotError):
     """The initial condition cannot be built: an IC file is missing or
     malformed, a recipe lacks a value, or the fields leave A > 0, N >= 0."""
 
@@ -114,6 +102,12 @@ class SimConfig:
             raise ValueError("cfl_advection must lie in (0, 1]")
         if self.flux_scheme not in ("centered", "upwind"):
             raise ValueError(f"unknown flux scheme {self.flux_scheme!r}")
+        if self.dt_max is not None and not self.dt_max > 0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if not self.guard_tol > 0:
+            raise ValueError(f"guard_tol must be positive, got {self.guard_tol}")
+        if not isinstance(self.params, ModelKind):
+            raise ValueError(f"params must be a ModelKind, got {self.params!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ def build_initial(config: SimConfig) -> tuple[ScalarField, ScalarField]:
 
 
 def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
-    ic, grid, params = config.ic, config.grid, config.params
+    ic, grid = config.ic, config.grid
     if ic.recipe == "constants":
         if ic.a0 is None or ic.n0 is None:
             raise ValueError("constants recipe needs a0 and n0")
@@ -163,14 +157,7 @@ def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
     elif ic.recipe == "perturbed_steady":
         if ic.amplitude is None:
             raise ValueError("perturbed_steady recipe needs an amplitude")
-        if isinstance(params, ModelParams):
-            a_star, n_star = steady_state(params)
-        elif isinstance(params, ShortParams):
-            a_star, n_star = short_steady_state(params)
-        else:
-            raise ValueError(
-                "perturbed_steady is only defined for the built-in model kinds"
-            )
+        a_star, n_star = config.params.steady_state()
         bump = cosine_mode(grid, ic.mode_j, ic.mode_k, ic.amplitude)
         A = ScalarField(grid, a_star + bump.values)
         N = ScalarField(grid, np.full((grid.n, grid.n), n_star))
@@ -198,13 +185,8 @@ def _chemo_velocity(state: SimState, params: ModelKind, a_floor: float) -> Vecto
         and cached[2] == a_floor
     ):
         return cached[3]
-    A = state.A
-    if isinstance(params, (ModelParams, ShortParams)):
-        v = sensitivity_grad(A, params.chi, a_floor)
-    else:
-        # generalized sensitivity: gradient of h(A) sampled at cells
-        v = gradient(plugin_field(A.grid, "h", params.h(A.values)))
-    state._velocity = (A, params, a_floor, v)
+    v = params.velocity(state.A, a_floor)
+    state._velocity = (state.A, params, a_floor, v)
     return v
 
 
@@ -328,9 +310,10 @@ def run(config: SimConfig) -> RunResult:
     """Integrate to t_end or termination; deterministic given the config."""
     A, N = build_initial(config)
     params = config.params
-    pitcher = isinstance(params, ModelParams)
-    bounds = derived_bounds(A, N, params) if pitcher else None
-    a_floor = (bounds.a_min if pitcher else float(np.min(A.values))) / 2.0
+    # only the main model has invariant-region bounds; the floor they set,
+    # the exact mass law and the energy balances hold for that model alone
+    bounds = params.bounds(A, N)
+    a_floor = (bounds.a_min if bounds is not None else float(np.min(A.values))) / 2.0
     n0_mass = integral(N)
     area = config.grid.area
 
@@ -372,7 +355,7 @@ def run(config: SimConfig) -> RunResult:
             if outcome.kind != "completed":
                 break
 
-            if pitcher:
+            if bounds is not None:
                 res = (
                     abs(
                         (1.0 + params.omega * dt_try) * integral(new_state.N)
@@ -393,19 +376,20 @@ def run(config: SimConfig) -> RunResult:
                 )
                 snapshots.append((state.t, state.A, state.N))
                 out_idx += 1
-    except (SolverError, ModelError, GridError) as exc:
+    except HotspotError as exc:
         # every numerical failure that halving cannot cure: a solve above its
-        # residual tolerance, A below the sensitivity floor, bad plugin output
+        # residual tolerance, A below the sensitivity floor, bad plugin output,
+        # an output whose diagnostics are undefined
         outcome = Outcome("failed", state.t, str(exc))
 
-    if pitcher:
+    if bounds is not None:
         _attach_energy_residuals(records, snapshots, params)
     return RunResult(
         records, snapshots, outcome, max_mass_res, state.step_count, rejected
     )
 
 
-def _attach_energy_residuals(records, snapshots, params: ModelParams) -> None:
+def _attach_energy_residuals(records, snapshots, params: ModelKind) -> None:
     """Fill r1..r4 wherever a uniformly spaced three-output window exists.
     Each output's scalars are computed once for all its windows, and its
     ||grad A||_2^2 is the one its diagnostics record holds."""

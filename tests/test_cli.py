@@ -483,3 +483,51 @@ class TestMalformedFieldFile:
         assert err.startswith("error:")
         assert str(bad) in err
         assert part in err
+
+
+class TestNegativeDensityAtAnOutput:
+    def test_entropy_of_a_negative_density_ends_the_run_failed(self, tmp_path, capsys):
+        # N may dip to -guard_tol between guards, but the Boltzmann entropy of
+        # the output row needs N >= 0: the run ends failed, not in a traceback
+        grid = GridSpec(1.0, 32)
+        x, _ = grid.cell_coords()
+        write_field(tmp_path / "A0.field",
+                    ScalarField(grid, 1.0 + 2.0 * np.exp(-(x - 0.4) ** 2 / 0.002)))
+        write_field(tmp_path / "N0.field",
+                    ScalarField(grid, np.where(x < 0.45, 1.0, 0.0)))
+        cfg = tmp_path / "run.json"
+        write_config(
+            cfg,
+            model={"kind": "main", "eta": 0.05, "psi": 0.01, "omega": 0.001,
+                   "atilde": 1.0, "chi": 4.0},
+            time={"t_end": 3e-5, "dt_init": 1e-5, "dt_max": 1e-5,
+                  "output_every": 1e-5},
+            ic={"recipe": "file", "path_A": str(tmp_path / "A0.field"),
+                "path_N": str(tmp_path / "N0.field")},
+            numerics={"guard_tol": 0.01},
+        )
+        assert cli.main(["simulate", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "outcome: failed" in captured.out
+        assert "entropy integrand undefined: density reached" in captured.err
+        out = tmp_path / "out"
+        doc = json.loads((out / "outcome.json").read_text())
+        assert doc["outcome"] == "failed"
+        assert doc["reason"].startswith("entropy integrand undefined")
+        assert (out / "diagnostics.csv").read_text().count("\n") >= 2
+
+
+def test_one_exception_root():
+    import hotspotsim
+    from hotspotsim import analysis, grid, model
+
+    for exc in (
+        grid.GridError,
+        model.ModelError,
+        solver.SolverError,
+        analysis.AnalysisError,
+        cli.ConfigError,
+        solver.InitialConditionError,
+    ):
+        assert issubclass(exc, hotspotsim.HotspotError)
+    assert not issubclass(solver.InitialConditionError, ValueError)

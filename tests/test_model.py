@@ -242,3 +242,36 @@ class TestGeneralModel:
             make_general(delta=1.5)
         with pytest.raises(ValueError):
             make_general(a_min=2.0, a_max=1.0)
+
+
+class TestModelProtocol:
+    MAIN = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=2.0)
+    SHORT = ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=1.0)
+
+    @pytest.mark.parametrize("params, want", [
+        (MAIN, (0.7009781765920831, 1.0)),
+        (ModelParams(eta=1.0, psi=2.5, omega=1.0, atilde=0.3, chi=1.0),
+         (0.758257569495584, 1.0)),
+        (ModelParams(eta=1.0, psi=1.0, omega=1.0, atilde=2.0, chi=1.0),
+         (1.414213562373095, 1.0)),
+    ])
+    def test_main_steady_state_values(self, params, want):
+        assert steady_state(params) == want
+        assert params.steady_state() == want
+
+    @pytest.mark.parametrize("params, want", [
+        (SHORT, (0.8, 0.7500000000000001)),
+        (ShortParams(eta=0.05, a0=1 / 30, abar=1 / 3, chi=2.0),
+         (0.3333333333333333, 0.9)),
+    ])
+    def test_short_steady_state_values(self, params, want):
+        assert short_steady_state(params) == want
+        assert params.steady_state() == want
+
+    def test_only_the_main_model_has_bounds(self):
+        grid = GridSpec(L=1.0, n=16)
+        A0 = ScalarField(grid, 0.8 + cosine_mode(grid, 1, 2, 0.1).values)
+        N0 = const_field(grid, 1.5)
+        assert self.MAIN.bounds(A0, N0) == derived_bounds(A0, N0, self.MAIN)
+        assert self.SHORT.bounds(A0, N0) is None
+        assert make_general().bounds(A0, N0) is None

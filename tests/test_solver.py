@@ -6,6 +6,7 @@ from scipy import fft as scipy_fft
 
 from hotspotsim import analysis
 from hotspotsim import grid as grid_module
+from hotspotsim import model as model_module
 from hotspotsim import solver
 from hotspotsim.grid import (
     GridSpec,
@@ -30,6 +31,7 @@ from hotspotsim.model import (
 )
 from hotspotsim.solver import (
     InitialCondition,
+    InitialConditionError,
     Outcome,
     PositivityBreach,
     SimConfig,
@@ -70,6 +72,20 @@ class TestConfigValidation:
     def test_flux_scheme_names(self):
         with pytest.raises(ValueError):
             small_config(flux_scheme="quick")
+
+    @pytest.mark.parametrize("params", [
+        None, "main", {"eta": 0.1, "psi": PSI, "omega": 84.0, "atilde": 0.7},
+    ])
+    def test_params_must_be_a_model_kind(self, params):
+        with pytest.raises(ValueError, match="params must be a ModelKind"):
+            small_config(params=params)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt_max", 0.0), ("dt_max", -1e-3), ("guard_tol", 0.0), ("guard_tol", -1.0),
+    ])
+    def test_nonpositive_numerics_rejected_at_the_config(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            small_config(**{field: value})
 
 
 class TestBuildInitial:
@@ -112,12 +128,12 @@ class TestBuildInitial:
 
     def test_rejects_nonpositive_A(self):
         cfg = small_config(ic=InitialCondition("constants", a0=-1.0, n0=1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InitialConditionError):
             build_initial(cfg)
 
     def test_unknown_recipe(self):
         cfg = small_config(ic=InitialCondition("noise", amplitude=0.1))
-        with pytest.raises(ValueError):
+        with pytest.raises(InitialConditionError):
             build_initial(cfg)
 
 
@@ -412,7 +428,7 @@ class TestNumericalFailuresAreOutcomes:
     def test_floor_violation_fails(self, monkeypatch):
         # bounds whose a_min puts the sensitivity floor above every A value
         monkeypatch.setattr(
-            solver,
+            model_module,
             "derived_bounds",
             lambda A, N, params: DerivedBounds(a_min=2.0, a_max=3.0, n1_max=1.0),
         )
@@ -539,6 +555,72 @@ class TestStepMatchesReference:
             assert state.N.values.tobytes() == want_N.tobytes()
 
 
+class TestModelProtocol:
+    KINDS = {
+        "main": ModelParams(eta=0.1, psi=0.5, omega=84.0, atilde=0.7, chi=2.0),
+        "short": ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=3.0),
+        "general": GeneralModel(
+            f=lambda a, n: 0.3 * n * a + 0.1,
+            g=lambda a, n: np.sqrt(n),
+            h=lambda a: 2.0 * np.log(a),
+            eta=0.1, omega=1.0, a_min=0.25, a_max=1.0, delta=0.5,
+            g1=1.0, g2=0.0, f1=0.3, f2=0.1,
+        ),
+    }
+
+    @staticmethod
+    def fields():
+        grid = GridSpec(L=1.0, n=32)
+        wave, _ = sample_cosine_field(7, 5, 0.05, grid)
+        return (
+            ScalarField(grid, 0.8 + wave.values),
+            ScalarField(grid, 1.0 + 2.0 * wave.values.T),
+        )
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_reaction_terms_bitwise_equal_to_reference(self, kind):
+        p = self.KINDS[kind]
+        A, N = self.fields()
+        a, n = A.values, N.values
+        if kind == "main":
+            want = (p.psi * n * a * (1.0 - a) + p.atilde,
+                    np.full_like(n, p.omega), 1.0, p.omega)
+        elif kind == "short":
+            want = (n * a + p.a0, -n * a + p.abar - p.a0, 1.0, 0.0)
+        else:
+            want = (p.f(a, n), p.g(a, n), 1.0, p.omega)
+        rA, rN, lam_A, lam_N = model_module.reaction_terms(p, A, N)
+        assert rA.values.tobytes() == want[0].tobytes()
+        assert rN.values.tobytes() == want[1].tobytes()
+        assert (lam_A, lam_N) == want[2:]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_chemo_velocity_bitwise_equal_to_reference(self, kind):
+        p = self.KINDS[kind]
+        A, N = self.fields()
+        grid, a = A.grid, A.values
+        if kind == "general":
+            want = gradient(ScalarField(grid, p.h(a)))
+        else:
+            afx = 0.5 * (a[1:, :] + a[:-1, :])
+            afy = 0.5 * (a[:, 1:] + a[:, :-1])
+            vfx = np.zeros((grid.n + 1, grid.n))
+            vfy = np.zeros((grid.n, grid.n + 1))
+            vfx[1:-1, :] = p.chi * np.diff(a, axis=0) / grid.h / afx
+            vfy[:, 1:-1] = p.chi * np.diff(a, axis=1) / grid.h / afy
+            want = VectorField(grid, vfx, vfy)
+        state = SimState(0.0, A, N)
+        v = solver._chemo_velocity(state, p, float(np.min(a)) / 2.0)
+        assert v.fx.tobytes() == want.fx.tobytes()
+        assert v.fy.tobytes() == want.fy.tobytes()
+        assert solver._chemo_velocity(state, p, float(np.min(a)) / 2.0) is v
+
+    def test_general_model_has_no_perturbed_steady_state(self):
+        cfg = small_config(params=self.KINDS["general"])
+        with pytest.raises(InitialConditionError, match="built-in model kinds"):
+            build_initial(cfg)
+
+
 class TestStatesOwnTheirArrays:
     def test_successive_states_do_not_share_buffers(self):
         cfg = small_config()
@@ -563,14 +645,15 @@ class TestStatesOwnTheirArrays:
 
     def test_one_velocity_per_accepted_state(self, monkeypatch):
         calls = []
-        real = solver.sensitivity_grad
+        real = model_module.sensitivity_grad
 
         def counted(A, chi, a_floor):
             calls.append(A)
             return real(A, chi, a_floor)
 
-        monkeypatch.setattr(solver, "sensitivity_grad", counted)
+        monkeypatch.setattr(model_module, "sensitivity_grad", counted)
         result = run(small_config())
         assert result.outcome.kind == "completed"
         # one per accepted state; the final state steps no further
+        assert calls
         assert len(calls) == len({id(A) for A in calls})
