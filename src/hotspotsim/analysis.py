@@ -18,7 +18,8 @@ import numpy as np
 
 from . import grid as g
 from .grid import HotspotError, ScalarField, spectral_hessian_norms
-from .model import DerivedBounds, ModelParams, NonPositiveA, sensitivity_grad
+from .model import DerivedBounds, ModelParams, NonPositiveA
+from .model import sensitivity_floor, sensitivity_grad
 
 
 class AnalysisError(HotspotError):
@@ -412,7 +413,7 @@ def energy_residuals(
 
     # the gradient of N1 and its face means serve the fisher term, both
     # dot products and ||grad N1||_2^2; N1 > 0 was checked above
-    theta_grad = sensitivity_grad(A1, chi, float(np.min(a)) / 2.0)
+    theta_grad = sensitivity_grad(A1, chi, sensitivity_floor(A1))
     grad_n = g.gradient(N1)
     n_means = g._face_means(N1)
     d_ent = (s2.entropy - s0.entropy) / two_d

@@ -60,15 +60,17 @@ def _check_keys(section: str, doc: dict) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{section}'")
 
 
-def _cosine_mode(ic_doc: dict, key: str, n: int) -> int:
-    """A cosine mode index of the initial bump: a JSON integer that the
-    grid resolves, 0 <= mode < n (mode n samples to zero at every cell)."""
-    mode = ic_doc.get(key, 1)
-    if isinstance(mode, bool) or not isinstance(mode, int) or not 0 <= mode < n:
+def _integer(name: str, value, n: int | None = None) -> int:
+    """The config value `name` ("section.key"), which must be a JSON integer;
+    with n given, also a cosine mode index that the grid resolves,
+    0 <= mode < n (mode n samples to zero at every cell)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be a JSON integer, got {value!r}")
+    if n is not None and not 0 <= value < n:
         raise ConfigError(
-            f"ic.{key} must be an integer in [0, {n}) on an n={n} grid, got {mode!r}"
+            f"{name} must be an integer in [0, {n}) on an n={n} grid, got {value!r}"
         )
-    return mode
+    return value
 
 
 def load_config(path) -> tuple[solver.SimConfig, dict]:
@@ -111,7 +113,9 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
             )
         else:
             raise ConfigError(f"unknown model kind {kind!r}")
-        grid = GridSpec(L=float(doc["grid"]["L"]), n=int(doc["grid"]["n"]))
+        grid = GridSpec(
+            L=float(doc["grid"]["L"]), n=_integer("grid.n", doc["grid"]["n"])
+        )
         t = doc["time"]
         ic_doc = doc.get("ic", {"recipe": "perturbed_steady", "amplitude": 0.0})
         ic = solver.InitialCondition(
@@ -119,8 +123,8 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
             a0=ic_doc.get("a0"),
             n0=ic_doc.get("n0"),
             amplitude=ic_doc.get("amplitude"),
-            mode_j=_cosine_mode(ic_doc, "mode_j", grid.n),
-            mode_k=_cosine_mode(ic_doc, "mode_k", grid.n),
+            mode_j=_integer("ic.mode_j", ic_doc.get("mode_j", 1), grid.n),
+            mode_k=_integer("ic.mode_k", ic_doc.get("mode_k", 1), grid.n),
             path_A=ic_doc.get("path_A"),
             path_N=ic_doc.get("path_N"),
         )

@@ -17,7 +17,6 @@ from .grid import (
     VectorField,
     _face_means,
     _same_grid,
-    _trusted,
     gradient,
     lp_norm,
 )
@@ -44,8 +43,8 @@ class InvalidInitialData(ModelError):
 
 
 class PluginOutputError(ModelError):
-    """A GeneralModel callable returned a field of the wrong shape or with
-    non-finite values; halving the step cannot help."""
+    """A GeneralModel callable raised, or returned a field of the wrong shape
+    or with non-finite values; halving the step cannot help."""
 
 
 POSITIVITY_MESSAGE = (
@@ -170,20 +169,26 @@ class GeneralModel(ModelKind):
             raise ValueError("eta and omega must be positive")
 
     def reaction(self, grid, a, n):
-        rA = plugin_field(grid, "f", self.f(a, n)).values
-        rN = plugin_field(grid, "g", self.g(a, n)).values
+        rA = plugin_field(grid, "f", self.f, a, n).values
+        rN = plugin_field(grid, "g", self.g, a, n).values
         return rA, rN, 1.0, self.omega
 
     def velocity(self, A, a_floor):
         # generalized sensitivity: gradient of h(A) sampled at cells
-        return gradient(plugin_field(A.grid, "h", self.h(A.values)))
+        return gradient(plugin_field(A.grid, "h", self.h, A.values))
 
 
-def plugin_field(grid: GridSpec, name: str, values) -> ScalarField:
-    """Validate what the plugin callable `name` returned, where it enters."""
+def plugin_field(grid: GridSpec, name: str, fn: Callable, *args) -> ScalarField:
+    """Call the plugin callable `name` and validate what it returned, where
+    it enters.  Any Exception of either ends as PluginOutputError, so a run
+    ends failed; a KeyboardInterrupt passes through."""
+    try:
+        values = fn(*args)
+    except Exception as exc:
+        raise PluginOutputError(f"GeneralModel.{name} raised {exc!r}") from exc
     try:
         return ScalarField(grid, values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise PluginOutputError(f"GeneralModel.{name}: {exc}") from exc
 
 
@@ -192,29 +197,8 @@ def _eval_envelope(e: EnvelopeFn, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reaction terms with the stiff linear decay split out
+# Chemotactic sensitivity
 # ---------------------------------------------------------------------------
-
-def reaction_terms(
-    kind: ModelKind, A: ScalarField, N: ScalarField, atol: float = 0.0
-) -> tuple[ScalarField, ScalarField, float, float]:
-    """Explicit reaction parts (rA, rN) and implicit linear decay rates
-    (lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc.  `atol` is the
-    tolerated undershoot of the N >= 0 precondition."""
-    g = _same_grid(A, N)
-    a, n = A.values, N.values
-    if np.min(a) <= 0:
-        raise NonPositiveA("attractiveness must be positive everywhere")
-    if np.min(n) < -atol:
-        raise NegativeN(f"criminal density fell below -{atol}")
-    rA, rN, lam_A, lam_N = kind.reaction(g, a, n)
-    return (
-        _trusted(ScalarField, g, values=rA),
-        _trusted(ScalarField, g, values=rN),
-        lam_A,
-        lam_N,
-    )
-
 
 def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
     """Face-centered chi * grad(A) / A with A averaged to faces."""
@@ -242,7 +226,13 @@ def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
     vy /= g.h
     vy /= afy
     fy[:, 1:-1] = vy
-    return _trusted(VectorField, g, fx=fx, fy=fy)
+    return VectorField(g, fx, fy)
+
+
+def sensitivity_floor(A: ScalarField, bounds: DerivedBounds | None = None) -> float:
+    """The a_floor below which sensitivity_grad refuses A: half of the
+    bounds' a_min, or without bounds half of min(A)."""
+    return (bounds.a_min if bounds is not None else float(np.min(A.values))) / 2.0
 
 
 # ---------------------------------------------------------------------------

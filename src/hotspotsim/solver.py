@@ -23,15 +23,15 @@ from .grid import (
     HotspotError,
     ScalarField,
     VectorField,
-    _trusted,
+    _divergence,
+    _helmholtz,
+    _same_grid,
     _workspace,
-    divergence,
-    helmholtz_solve,
     integral,
     read_field,
     cosine_mode,
 )
-from .model import DerivedBounds, ModelKind, reaction_terms
+from .model import DerivedBounds, ModelKind, NegativeN, NonPositiveA, sensitivity_floor
 
 
 class SolverError(HotspotError):
@@ -134,7 +134,7 @@ class RunResult:
 def build_initial(config: SimConfig) -> tuple[ScalarField, ScalarField]:
     try:
         A, N = _recipe_fields(config)
-    except (OSError, ValueError, GridError) as exc:
+    except (OSError, ValueError, GridError, MemoryError) as exc:
         raise InitialConditionError(
             f"cannot build the initial condition: {exc}"
         ) from exc
@@ -190,7 +190,7 @@ def _chemo_velocity(state: SimState, params: ModelKind, a_floor: float) -> Vecto
     return v
 
 
-def _advective_flux(n: np.ndarray, v: VectorField, scheme: str, ws) -> VectorField:
+def _advective_flux(n: np.ndarray, v: VectorField, scheme: str, ws) -> None:
     """Face flux of the drift term, -N_face * v, with N at faces by
     arithmetic mean (centered) or by donor cell (upwind), written into the
     workspace's face buffers."""
@@ -210,7 +210,6 @@ def _advective_flux(n: np.ndarray, v: VectorField, scheme: str, ws) -> VectorFie
     fx *= vx
     np.negative(fy, out=fy)
     fy *= vy
-    return _trusted(VectorField, v.grid, fx=ws.fx, fy=ws.fy)
 
 
 def step(
@@ -221,36 +220,43 @@ def step(
     a_floor: Optional[float] = None,
 ) -> SimState:
     """One IMEX update: explicit chemotactic transport and nonlinear
-    reaction, then implicit Helmholtz solves for diffusion and linear decay."""
+    reaction, then implicit Helmholtz solves for diffusion and linear decay.
+    The update runs on arrays; only its result is built into fields."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
     A, N = state.A, state.N
+    g = _same_grid(A, N)
+    a, n = A.values, N.values
     if a_floor is None:
-        a_floor = (bounds.a_min if bounds is not None else float(np.min(A.values))) / 2.0
+        a_floor = sensitivity_floor(A, bounds)
+    # the reaction's preconditions; N may undershoot 0 by guard_tol
+    if np.min(a) <= 0:
+        raise NonPositiveA("attractiveness must be positive everywhere")
+    if np.min(n) < -config.guard_tol:
+        raise NegativeN(f"criminal density fell below -{config.guard_tol}")
 
-    rA, rN, lam_A, lam_N = reaction_terms(params, A, N, atol=config.guard_tol)
+    rA, rN, lam_A, lam_N = params.reaction(g, a, n)
     v = _chemo_velocity(state, params, a_floor)
-    g = A.grid
     ws = _workspace(g)
-    flux = _advective_flux(N.values, v, config.flux_scheme, ws)
-    adv = divergence(flux, out=ws.rhs_N)
+    _advective_flux(n, v, config.flux_scheme, ws)
 
-    # A + dt*rA and N + dt*(adv + rN), in the workspace
-    a_exp = np.multiply(rA.values, dt, out=ws.rhs_A)
-    a_exp += A.values
-    n_exp = adv.values
-    n_exp += rN.values
+    # A + dt*rA and N + dt*(div(flux) + rN), in the workspace
+    a_exp = np.multiply(rA, dt, out=ws.rhs_A)
+    a_exp += a
+    n_exp = _divergence(ws.fx, ws.fy, g.h, out=ws.rhs_N)
+    n_exp += rN
     n_exp *= dt
-    n_exp += N.values
+    n_exp += n
     if not (np.isfinite(a_exp).all() and np.isfinite(n_exp).all()):
         raise NonFinite("explicit stage produced non-finite values")
 
-    A_exp = _trusted(ScalarField, g, values=a_exp)
-    N_exp = _trusted(ScalarField, g, values=n_exp)
-    A_new = helmholtz_solve(A_exp, params.eta, lam_A, dt)
-    N_new = helmholtz_solve(N_exp, 1.0, lam_N, dt)
-
+    a_new = _helmholtz(g, a_exp, params.eta, lam_A, dt)
+    n_new = _helmholtz(g, n_exp, 1.0, lam_N, dt)
+    try:
+        A_new, N_new = ScalarField(g, a_new), ScalarField(g, n_new)
+    except ValueError as exc:  # the fields' own finiteness check
+        raise NonFinite("state contains non-finite values") from exc
     _guard(A_new, N_new, config, bounds)
     return SimState(state.t + dt, A_new, N_new, state.step_count + 1)
 
@@ -258,8 +264,7 @@ def step(
 def _guard(
     A: ScalarField, N: ScalarField, config: SimConfig, bounds: Optional[DerivedBounds]
 ) -> None:
-    if not (np.all(np.isfinite(A.values)) and np.all(np.isfinite(N.values))):
-        raise NonFinite("state contains non-finite values")
+    """The positivity guards; the fields are finite, as every ScalarField is."""
     tol = config.guard_tol
     if bounds is not None:
         span = bounds.a_max - bounds.a_min
@@ -286,9 +291,7 @@ def adapt_dt(
     """Grow the step by at most 10%, limited by the advective CFL condition
     on the chemotactic face velocity and by the output cadence."""
     if a_floor is None:
-        a_floor = (
-            bounds.a_min if bounds is not None else float(np.min(state.A.values))
-        ) / 2.0
+        a_floor = sensitivity_floor(state.A, bounds)
     vmax = _chemo_velocity(state, config.params, a_floor).max_abs()
     dt = dt_prev * 1.1
     if vmax > 0:
@@ -313,7 +316,7 @@ def run(config: SimConfig) -> RunResult:
     # only the main model has invariant-region bounds; the floor they set,
     # the exact mass law and the energy balances hold for that model alone
     bounds = params.bounds(A, N)
-    a_floor = (bounds.a_min if bounds is not None else float(np.min(A.values))) / 2.0
+    a_floor = sensitivity_floor(A, bounds)
     n0_mass = integral(N)
     area = config.grid.area
 

@@ -285,6 +285,37 @@ class TestInitialConditionModes:
         assert (config.ic.mode_j, config.ic.mode_k) == (j, k)
 
 
+class TestGridSize:
+    @pytest.mark.parametrize("value", [16.7, 16.0, "16", True, None],
+                             ids=["fraction", "float", "string", "bool", "null"])
+    def test_non_integer_n_rejected(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "grid.n" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_too_large_to_allocate_exits_1(self, tmp_path, capsys, monkeypatch):
+        # stands in for numpy's allocation failure at a huge n, without
+        # attempting one
+        def no_memory(grid):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(GridSpec, "cell_coords", no_memory)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: cannot build the initial condition: "
+            "Unable to allocate 74.5 GiB for an array"
+        ]
+        assert not (tmp_path / "out").exists()
+
+
 def _snapshot_files(out_dir):
     return sorted(p.name for p in out_dir.iterdir() if p.name.startswith(("A_", "N_")))
 

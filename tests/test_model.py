@@ -17,12 +17,12 @@ from hotspotsim.model import (
     POSITIVITY_MESSAGE,
     ShortParams,
     derived_bounds,
-    reaction_terms,
     sensitivity_grad,
     short_steady_state,
     steady_state,
     validate_general_hypotheses,
 )
+from hotspotsim.solver import InitialCondition, SimConfig, SimState, step
 
 PSI = 0.0046667
 
@@ -99,38 +99,50 @@ class TestSteadyState:
 
 
 class TestReactionTerms:
+    """The reaction terms of ModelKind.reaction, and the preconditions that
+    solver.step checks before it calls them."""
+
     def grid(self):
         return GridSpec(L=1.0, n=16)
+
+    def step_from(self, A, N, guard_tol=1e-6):
+        params = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=2.0)
+        config = SimConfig(
+            grid=A.grid, params=params, t_end=0.01, dt_init=1e-3, dt_min=1e-9,
+            output_every=0.01, ic=InitialCondition("constants", a0=1.0, n0=1.0),
+            guard_tol=guard_tol,
+        )
+        return step(SimState(0.0, A, N), 1e-3, config)
 
     def test_main_terms(self):
         g = self.grid()
         params = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=2.0)
-        rA, rN, lam_A, lam_N = reaction_terms(params, const_field(g, 0.5), const_field(g, 2.0))
-        assert rA.values[0, 0] == pytest.approx(PSI * 2.0 * 0.5 * 0.5 + 0.7)
-        assert rN.values[0, 0] == pytest.approx(84.0)
+        a, n = const_field(g, 0.5).values, const_field(g, 2.0).values
+        rA, rN, lam_A, lam_N = params.reaction(g, a, n)
+        assert rA[0, 0] == pytest.approx(PSI * 2.0 * 0.5 * 0.5 + 0.7)
+        assert rN[0, 0] == pytest.approx(84.0)
         assert (lam_A, lam_N) == (1.0, 84.0)
 
     def test_short_terms(self):
         g = self.grid()
         p = ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=1.0)
-        rA, rN, lam_A, lam_N = reaction_terms(p, const_field(g, 0.5), const_field(g, 1.0))
-        assert rA.values[0, 0] == pytest.approx(0.5 + 0.2)
-        assert rN.values[0, 0] == pytest.approx(-0.5 + 0.8 - 0.2)
+        a, n = const_field(g, 0.5).values, const_field(g, 1.0).values
+        rA, rN, lam_A, lam_N = p.reaction(g, a, n)
+        assert rA[0, 0] == pytest.approx(0.5 + 0.2)
+        assert rN[0, 0] == pytest.approx(-0.5 + 0.8 - 0.2)
         assert (lam_A, lam_N) == (1.0, 0.0)
 
     def test_rejects_nonpositive_A(self):
         g = self.grid()
-        params = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=2.0)
         with pytest.raises(NonPositiveA):
-            reaction_terms(params, const_field(g, 0.0), const_field(g, 1.0))
+            self.step_from(const_field(g, 0.0), const_field(g, 1.0))
 
     def test_rejects_negative_N_beyond_atol(self):
         g = self.grid()
-        params = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=2.0)
         with pytest.raises(NegativeN):
-            reaction_terms(params, const_field(g, 1.0), const_field(g, -1e-3), atol=1e-6)
+            self.step_from(const_field(g, 1.0), const_field(g, -1e-3), guard_tol=1e-6)
         # small undershoot tolerated
-        reaction_terms(params, const_field(g, 1.0), const_field(g, -1e-9), atol=1e-6)
+        self.step_from(const_field(g, 1.0), const_field(g, -1e-9), guard_tol=1e-6)
 
 
 class TestSensitivity:

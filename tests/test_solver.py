@@ -425,6 +425,47 @@ class TestNumericalFailuresAreOutcomes:
         assert result.outcome.kind == "failed"
         assert "GeneralModel.f" in result.outcome.reason
 
+    @staticmethod
+    def raising_plugin(name, exc):
+        def raising(*args):
+            raise exc
+
+        callables = dict(
+            f=lambda a, n: 0.3 * n * a + 0.1,
+            g=lambda a, n: np.sqrt(n),
+            h=lambda a: 2.0 * np.log(a),
+        )
+        callables[name] = raising
+        return GeneralModel(
+            **callables, eta=0.1, omega=1.0, a_min=0.25, a_max=1.0, delta=0.5,
+            g1=1.0, g2=0.0, f1=0.3, f2=0.1,
+        )
+
+    @pytest.mark.parametrize("name", ["f", "g", "h"])
+    def test_plugin_exception_ends_the_run_failed(self, name):
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=self.raising_plugin(name, ZeroDivisionError("division by zero")),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+        )
+        A, N = build_initial(cfg)
+        with pytest.raises(PluginOutputError, match=f"GeneralModel.{name}") as info:
+            step(SimState(0.0, A, N), 1e-3, cfg)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        result = run(cfg)
+        assert result.outcome.kind == "failed"
+        assert f"GeneralModel.{name}" in result.outcome.reason
+        assert "ZeroDivisionError" in result.outcome.reason
+
+    def test_plugin_interrupt_is_not_wrapped(self):
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=self.raising_plugin("f", KeyboardInterrupt()),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg)
+
     def test_floor_violation_fails(self, monkeypatch):
         # bounds whose a_min puts the sensitivity floor above every A value
         monkeypatch.setattr(
@@ -488,6 +529,11 @@ def _reference_step(state, dt, cfg, a_floor):
         rA = p.psi * n * a * (1.0 - a) + p.atilde
         rN = np.full_like(n, p.omega)
         lam_A, lam_N = 1.0, p.omega
+    elif isinstance(p, ShortParams):
+        rA = n * a + p.a0
+        rN = -n * a + p.abar - p.a0
+        lam_A, lam_N = 1.0, 0.0
+    if isinstance(p, (ModelParams, ShortParams)):
         afx = 0.5 * (a[1:, :] + a[:-1, :])
         afy = 0.5 * (a[:, 1:] + a[:, :-1])
         vfx = np.zeros((grid.n + 1, grid.n))
@@ -528,11 +574,13 @@ def _reference_step(state, dt, cfg, a_floor):
 
 class TestStepMatchesReference:
     @pytest.mark.parametrize("scheme", ["centered", "upwind"])
-    @pytest.mark.parametrize("model", ["main", "general"])
+    @pytest.mark.parametrize("model", ["main", "short", "general"])
     def test_bitwise_equal_to_reference(self, scheme, model):
         grid = GridSpec(L=1.0, n=32)
         if model == "main":
             params = ModelParams(eta=0.1, psi=0.5, omega=84.0, atilde=0.7, chi=2.0)
+        elif model == "short":
+            params = ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=4.0)
         else:
             params = GeneralModel(
                 f=lambda a, n: 0.3 * n * a + 0.1,
@@ -579,6 +627,7 @@ class TestModelProtocol:
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_reaction_terms_bitwise_equal_to_reference(self, kind):
+        # ModelKind.reaction, which solver.step calls on the state's arrays
         p = self.KINDS[kind]
         A, N = self.fields()
         a, n = A.values, N.values
@@ -589,9 +638,9 @@ class TestModelProtocol:
             want = (n * a + p.a0, -n * a + p.abar - p.a0, 1.0, 0.0)
         else:
             want = (p.f(a, n), p.g(a, n), 1.0, p.omega)
-        rA, rN, lam_A, lam_N = model_module.reaction_terms(p, A, N)
-        assert rA.values.tobytes() == want[0].tobytes()
-        assert rN.values.tobytes() == want[1].tobytes()
+        rA, rN, lam_A, lam_N = p.reaction(A.grid, a, n)
+        assert rA.tobytes() == want[0].tobytes()
+        assert rN.tobytes() == want[1].tobytes()
         assert (lam_A, lam_N) == want[2:]
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -642,6 +691,34 @@ class TestStatesOwnTheirArrays:
         for i, x in enumerate(arrays):
             for y in arrays[i + 1:]:
                 assert not np.shares_memory(x, y)
+
+    def test_fields_validated_once_per_step_result(self, monkeypatch):
+        # the step works on arrays: only its two result fields are built
+        # validated, and an output validates one field per energy window
+        # (the Laplacian of A); per-operator validation inside the step
+        # would raise the per-step count
+        calls = []
+        real = ScalarField.__post_init__
+
+        def counted(field):
+            calls.append(field)
+            real(field)
+
+        monkeypatch.setattr(ScalarField, "__post_init__", counted)
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16), t_end=0.02, output_every=0.005, dt_max=1e-3
+        )
+        build_initial(cfg)
+        initial = len(calls)
+        calls.clear()
+        result = run(cfg)
+        assert result.outcome.kind == "completed"
+        assert result.steps_rejected == 0
+        assert result.steps_accepted == 20
+        assert len(result.records) == 5
+        windows = sum(rec.residuals is not None for rec in result.records)
+        assert windows == 3
+        assert len(calls) == initial + 2 * result.steps_accepted + windows
 
     def test_one_velocity_per_accepted_state(self, monkeypatch):
         calls = []
