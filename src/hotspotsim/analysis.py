@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -70,18 +70,8 @@ class ExistenceReport:
         return self.holds or self.alternate_route_holds
 
     def to_json(self) -> str:
-        doc = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "epsilon0": self.epsilon0,
-            "epsilon0_source": self.epsilon0_source,
-            "holds": self.holds,
-            "margin": self.margin,
-            "route": self.route,
-            "alternate_route_holds": self.alternate_route_holds,
-            "any_route_holds": self.any_route_holds,
-            "inputs": self.inputs,
-        }
+        doc = asdict(self)
+        doc["any_route_holds"] = self.any_route_holds
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -527,25 +517,16 @@ class DiagnosticsRecord:
     residuals: Optional[EnergyResiduals] = None
 
     def csv_row(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        cells = [
-            fmt(self.t),
-            fmt(self.mass_N),
-            fmt(self.minA),
-            fmt(self.maxA),
-            fmt(self.minN),
-            fmt(self.grad_A_l2sq),
-            fmt(self.phi),
-            fmt(self.y_entropy),
-            fmt(self.mass_residual),
-            fmt(self.residuals.r1 if self.residuals else None),
-            fmt(self.residuals.r2 if self.residuals else None),
-            fmt(self.residuals.r3 if self.residuals else None),
-            fmt(self.residuals.r4 if self.residuals else None),
-            self.bound_flags.as_string() if self.bound_flags else "",
-        ]
+        cells = []
+        for name in CSV_COLUMNS:
+            if name == "flags":
+                cells.append(self.bound_flags.as_string() if self.bound_flags else "")
+                continue
+            if name in ("r1", "r2", "r3", "r4"):
+                v = getattr(self.residuals, name) if self.residuals else None
+            else:
+                v = getattr(self, name)
+            cells.append("" if v is None else repr(float(v)))
         return ",".join(cells)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class GridSpec:
     def __post_init__(self):
         if not (self.L > 0):
             raise ValueError(f"side length must be positive, got L={self.L}")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"cell count must be an integer, got n={self.n!r}") from None
         if self.n < 8:
             raise ValueError(f"need at least 8 cells per side, got n={self.n}")
 
@@ -159,20 +164,15 @@ def _same_grid(*fields) -> GridSpec:
 # Differential operators
 # ---------------------------------------------------------------------------
 
-def _face_gradients(v: np.ndarray, h: float, fx: np.ndarray, fy: np.ndarray) -> None:
-    """Interior face differences of the cell values v, over h, into fx and fy;
-    the boundary-normal faces are left as they are."""
-    np.subtract(v[1:, :], v[:-1, :], out=fx[1:-1, :])
-    fx[1:-1, :] /= h
-    np.subtract(v[:, 1:], v[:, :-1], out=fy[:, 1:-1])
-    fy[:, 1:-1] /= h
-
-
 def gradient(u: ScalarField) -> VectorField:
-    g = u.grid
+    """Interior face differences of u over h; boundary-normal faces stay 0."""
+    g, v = u.grid, u.values
     fx = np.zeros((g.n + 1, g.n))
     fy = np.zeros((g.n, g.n + 1))
-    _face_gradients(u.values, g.h, fx, fy)
+    np.subtract(v[1:, :], v[:-1, :], out=fx[1:-1, :])
+    fx[1:-1, :] /= g.h
+    np.subtract(v[:, 1:], v[:, :-1], out=fy[:, 1:-1])
+    fy[:, 1:-1] /= g.h
     return VectorField(g, fx, fy)
 
 

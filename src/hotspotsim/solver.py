@@ -11,7 +11,7 @@ failure."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
@@ -58,11 +58,6 @@ class SimState:
     A: ScalarField
     N: ScalarField
     step_count: int = 0
-    # (A, params, a_floor, velocity): the chemotactic velocity of this state,
-    # shared by adapt_dt, step and every guard-driven retry from it
-    _velocity: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 @dataclass(frozen=True)
@@ -175,21 +170,6 @@ def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
 # Single step
 # ---------------------------------------------------------------------------
 
-def _chemo_velocity(state: SimState, params: ModelKind, a_floor: float) -> VectorField:
-    """Chemotactic face velocity of state.A, computed once per state."""
-    cached = state._velocity
-    if (
-        cached is not None
-        and cached[0] is state.A
-        and cached[1] is params
-        and cached[2] == a_floor
-    ):
-        return cached[3]
-    v = params.velocity(state.A, a_floor)
-    state._velocity = (state.A, params, a_floor, v)
-    return v
-
-
 def _advective_flux(n: np.ndarray, v: VectorField, scheme: str, ws) -> None:
     """Face flux of the drift term, -N_face * v, with N at faces by
     arithmetic mean (centered) or by donor cell (upwind), written into the
@@ -217,19 +197,19 @@ def step(
     dt: float,
     config: SimConfig,
     bounds: Optional[DerivedBounds] = None,
-    a_floor: Optional[float] = None,
+    velocity: Optional[VectorField] = None,
 ) -> SimState:
     """One IMEX update: explicit chemotactic transport and nonlinear
     reaction, then implicit Helmholtz solves for diffusion and linear decay.
-    The update runs on arrays; only its result is built into fields."""
+    The update runs on arrays; only its result is built into fields.
+    `velocity` is the chemotactic face velocity of state.A; when None, the
+    step computes it with `sensitivity_floor(A, bounds)`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
     A, N = state.A, state.N
     g = _same_grid(A, N)
     a, n = A.values, N.values
-    if a_floor is None:
-        a_floor = sensitivity_floor(A, bounds)
     # the reaction's preconditions; N may undershoot 0 by guard_tol
     if np.min(a) <= 0:
         raise NonPositiveA("attractiveness must be positive everywhere")
@@ -237,9 +217,11 @@ def step(
         raise NegativeN(f"criminal density fell below -{config.guard_tol}")
 
     rA, rN, lam_A, lam_N = params.reaction(g, a, n)
-    v = _chemo_velocity(state, params, a_floor)
+    if velocity is None:
+        velocity = params.velocity(A, sensitivity_floor(A, bounds))
+    _same_grid(A, velocity)
     ws = _workspace(g)
-    _advective_flux(n, v, config.flux_scheme, ws)
+    _advective_flux(n, velocity, config.flux_scheme, ws)
 
     # A + dt*rA and N + dt*(div(flux) + rN), in the workspace
     a_exp = np.multiply(rA, dt, out=ws.rhs_A)
@@ -281,18 +263,10 @@ def _guard(
         )
 
 
-def adapt_dt(
-    state: SimState,
-    config: SimConfig,
-    dt_prev: float,
-    bounds: Optional[DerivedBounds] = None,
-    a_floor: Optional[float] = None,
-) -> float:
+def adapt_dt(velocity: VectorField, config: SimConfig, dt_prev: float) -> float:
     """Grow the step by at most 10%, limited by the advective CFL condition
     on the chemotactic face velocity and by the output cadence."""
-    if a_floor is None:
-        a_floor = sensitivity_floor(state.A, bounds)
-    vmax = _chemo_velocity(state, config.params, a_floor).max_abs()
+    vmax = velocity.max_abs()
     dt = dt_prev * 1.1
     if vmax > 0:
         dt = min(dt, config.cfl_advection * config.grid.h / vmax)
@@ -334,7 +308,10 @@ def run(config: SimConfig) -> RunResult:
     try:
         while state.t < config.t_end - _SNAP:
             t_next = min(out_idx * config.output_every, config.t_end)
-            dt = adapt_dt(state, config, dt, bounds, a_floor)
+            # one velocity per accepted state sets the CFL step and drives every
+            # guard-driven retry; it is freed before the next one is built
+            velocity = params.velocity(state.A, a_floor)
+            dt = adapt_dt(velocity, config, dt)
             # clipping to the output boundary may shrink the step legitimately;
             # only guard-driven halving counts toward the dt_min floor
             dt_try = min(dt, t_next - state.t)
@@ -348,7 +325,7 @@ def run(config: SimConfig) -> RunResult:
                     )
                     break
                 try:
-                    new_state = step(state, dt_try, config, bounds, a_floor)
+                    new_state = step(state, dt_try, config, bounds, velocity)
                 except (PositivityBreach, NonFinite):
                     dt_try *= 0.5
                     halved = True
@@ -369,6 +346,7 @@ def run(config: SimConfig) -> RunResult:
                 )
                 max_mass_res = max(max_mass_res, res)
             state = new_state
+            del velocity
             if halved:
                 dt = dt_try
             if state.t >= t_next - _SNAP:

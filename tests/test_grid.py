@@ -74,6 +74,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(L=0.0, n=16)
 
+    @pytest.mark.parametrize("n", [16.7, 16.0])
+    def test_rejects_non_integer_cell_count(self, n):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            GridSpec(L=1.0, n=n)
+
+    def test_accepts_numpy_integer_cell_count(self):
+        assert GridSpec(L=1.0, n=np.int64(16)) == GridSpec(L=1.0, n=16)
+
 
 class TestFields:
     def test_scalar_rejects_wrong_shape(self):

@@ -9,6 +9,7 @@ from hotspotsim import grid as grid_module
 from hotspotsim import model as model_module
 from hotspotsim import solver
 from hotspotsim.grid import (
+    GridMismatch,
     GridSpec,
     ScalarField,
     SolveFailure,
@@ -27,6 +28,7 @@ from hotspotsim.model import (
     PluginOutputError,
     ShortParams,
     derived_bounds,
+    sensitivity_floor,
     steady_state,
 )
 from hotspotsim.solver import (
@@ -193,24 +195,47 @@ class TestStep:
         with pytest.raises(ValueError):
             step(SimState(0.0, A, N), 0.0, cfg)
 
+    def test_step_sees_A_changed_after_adapt_dt(self):
+        # a velocity kept on the state would go stale here: min(A), and
+        # with it the sensitivity floor, stays the same
+        cfg = small_config()
+        A, N = build_initial(cfg)
+        state = SimState(0.0, A, N)
+        dt = adapt_dt(cfg.params.velocity(A, sensitivity_floor(A)), cfg, 1e-4)
+        A.values[np.unravel_index(np.argmax(A.values), A.values.shape)] += 0.1
+        got = step(state, dt, cfg)
+        want = step(SimState(0.0, A.copy(), N.copy()), dt, cfg)
+        assert got.A.values.tobytes() == want.A.values.tobytes()
+        assert got.N.values.tobytes() == want.N.values.tobytes()
+
+    def test_rejects_velocity_on_another_grid(self):
+        cfg = small_config()
+        A, N = build_initial(cfg)
+        other = ScalarField(GridSpec(L=1.0, n=16), np.ones((16, 16)))
+        velocity = cfg.params.velocity(other, 0.5)
+        with pytest.raises(GridMismatch):
+            step(SimState(0.0, A, N), 1e-3, cfg, None, velocity)
+
+
+def initial_velocity(cfg):
+    A, _ = build_initial(cfg)
+    return cfg.params.velocity(A, sensitivity_floor(A))
+
 
 class TestAdaptDt:
     def test_growth_capped_at_ten_percent(self):
         cfg = small_config()
-        A, N = build_initial(cfg)
-        dt = adapt_dt(SimState(0.0, A, N), cfg, 1e-4)
+        dt = adapt_dt(initial_velocity(cfg), cfg, 1e-4)
         assert dt <= 1.1e-4 + 1e-18
 
     def test_output_every_is_a_ceiling(self):
         cfg = small_config()
-        A, N = build_initial(cfg)
-        dt = adapt_dt(SimState(0.0, A, N), cfg, 1.0)
+        dt = adapt_dt(initial_velocity(cfg), cfg, 1.0)
         assert dt <= cfg.output_every
 
     def test_dt_max_pins_the_step(self):
         cfg = small_config(dt_max=5e-4)
-        A, N = build_initial(cfg)
-        dt = adapt_dt(SimState(0.0, A, N), cfg, 5e-4)
+        dt = adapt_dt(initial_velocity(cfg), cfg, 5e-4)
         assert dt == pytest.approx(5e-4)
 
 
@@ -284,7 +309,7 @@ class TestRun:
     def test_blowup_reported_when_steps_collapse(self, monkeypatch):
         calls = {"n": 0}
 
-        def always_breach(state, dt, config, bounds=None, a_floor=None):
+        def always_breach(state, dt, config, bounds=None, velocity=None):
             calls["n"] += 1
             raise PositivityBreach("forced for the driver test")
 
@@ -297,7 +322,7 @@ class TestRun:
         assert calls["n"] > 5  # actually retried with halved steps
 
     def test_failed_on_solver_error(self, monkeypatch):
-        def explode(state, dt, config, bounds=None, a_floor=None):
+        def explode(state, dt, config, bounds=None, velocity=None):
             raise solver.SolverError("synthetic failure")
 
         monkeypatch.setattr(solver, "step", explode)
@@ -482,8 +507,8 @@ class TestNumericalFailuresAreOutcomes:
         # log weight needs A > 0
         real_step = solver.step
 
-        def sinking(state, dt, config, bounds=None, a_floor=None):
-            new = real_step(state, dt, config, bounds, a_floor)
+        def sinking(state, dt, config, bounds=None, velocity=None):
+            new = real_step(state, dt, config, bounds, velocity)
             A = ScalarField(new.A.grid, new.A.values - 10.0)
             return SimState(new.t, A, new.N, new.step_count)
 
@@ -598,9 +623,12 @@ class TestStepMatchesReference:
         a_floor = float(np.min(A.values)) / 2.0
         for _ in range(3):
             want_A, want_N = _reference_step(state, 1e-4, cfg, a_floor)
-            state = step(state, 1e-4, cfg, None, a_floor)
-            assert state.A.values.tobytes() == want_A.tobytes()
-            assert state.N.values.tobytes() == want_N.tobytes()
+            # the step's own velocity and one passed in give the same bytes
+            own = step(state, 1e-4, cfg)
+            state = step(state, 1e-4, cfg, None, params.velocity(state.A, a_floor))
+            for got in (own, state):
+                assert got.A.values.tobytes() == want_A.tobytes()
+                assert got.N.values.tobytes() == want_N.tobytes()
 
 
 class TestModelProtocol:
@@ -658,11 +686,9 @@ class TestModelProtocol:
             vfx[1:-1, :] = p.chi * np.diff(a, axis=0) / grid.h / afx
             vfy[:, 1:-1] = p.chi * np.diff(a, axis=1) / grid.h / afy
             want = VectorField(grid, vfx, vfy)
-        state = SimState(0.0, A, N)
-        v = solver._chemo_velocity(state, p, float(np.min(a)) / 2.0)
+        v = p.velocity(A, float(np.min(a)) / 2.0)
         assert v.fx.tobytes() == want.fx.tobytes()
         assert v.fy.tobytes() == want.fy.tobytes()
-        assert solver._chemo_velocity(state, p, float(np.min(a)) / 2.0) is v
 
     def test_general_model_has_no_perturbed_steady_state(self):
         cfg = small_config(params=self.KINDS["general"])
@@ -734,3 +760,25 @@ class TestStatesOwnTheirArrays:
         # one per accepted state; the final state steps no further
         assert calls
         assert len(calls) == len({id(A) for A in calls})
+
+    def test_guard_retries_share_the_state_velocity(self, monkeypatch):
+        calls = []
+        real = ShortParams.velocity
+
+        def counted(params, A, a_floor):
+            calls.append(A)
+            return real(params, A, a_floor)
+
+        monkeypatch.setattr(ShortParams, "velocity", counted)
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=4.0),
+            t_end=2.0,
+            output_every=0.16,
+            ic=InitialCondition("perturbed_steady", amplitude=0.5, mode_j=2, mode_k=1),
+        )
+        result = run(cfg)
+        assert result.outcome.kind == "blowup_suspected"
+        assert result.steps_rejected > 0
+        # one per accepted state and one for the state the run stops at
+        assert len(calls) == result.steps_accepted + 1
