@@ -202,7 +202,7 @@ def _write_snapshots(out_dir: Path, snapshots) -> None:
     """Write every snapshot field in worker processes, one job per field.
     Float formatting holds the interpreter lock, so threads would not
     overlap it.  Workers are forked, not spawned: a spawned worker imports
-    numpy and scipy again, which costs most of what the parallel write saves.
+    numpy again, which costs most of what the parallel write saves.
     A job only formats floats, runs elementwise numpy and writes files, so
     it needs no lock that another thread of the parent held at the fork."""
     import multiprocessing

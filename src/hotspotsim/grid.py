@@ -11,12 +11,14 @@ operator in this module.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import operator
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy import fft as _fft
 
 
 class HotspotError(Exception):
@@ -48,6 +50,94 @@ class UnresolvableMode(GridError):
 
 
 HELMHOLTZ_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The orthonormal DCT pair
+# ---------------------------------------------------------------------------
+#
+# The Helmholtz solves need only the orthonormal 2-D DCT-II and its inverse.
+# They come from scipy's own pocketfft extension, loaded by file path:
+# importing scipy.fft would also load scipy.special and scipy's array-API
+# layer, which is most of a process's start-up.  Checked against scipy
+# 1.17.1, where scipy.fft.dctn/idctn(type=2, norm="ortho") on a float64
+# array make the same extension call, so the results are bitwise equal.
+# scipy.fft is the fallback when the file is missing, fails to load or
+# fails the known-answer check.
+
+def _pocketfft_path() -> str | None:
+    """Path of scipy's pocketfft extension, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_pocketfft_dct(path: str):
+    """The extension's `dct` function; the module is not put in sys.modules."""
+    spec = importlib.util.spec_from_file_location("scipy.fft._pocketfft.pypocketfft", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dct
+
+
+class _PocketDCT:
+    """`dctn`/`idctn` with scipy.fft's keywords, for the orthonormal type-2
+    pair over all axes.  `dct(x, type, axes, inorm, out, nthreads,
+    orthogonalize)`: inorm=1 is "ortho", and out=x transforms in place."""
+
+    def __init__(self, dct):
+        self._dct = dct
+
+    def dctn(self, x, type=2, norm="ortho", overwrite_x=False):
+        return self._transform(x, 2, type, norm, overwrite_x)
+
+    def idctn(self, x, type=2, norm="ortho", overwrite_x=False):
+        return self._transform(x, 3, type, norm, overwrite_x)
+
+    def _transform(self, x, kind, type, norm, overwrite_x):
+        if type != 2 or norm != "ortho":
+            raise ValueError("only the orthonormal type-2 DCT pair is available")
+        out = x if overwrite_x else None
+        return self._dct(x, kind, tuple(range(x.ndim)), 1, out, 1, True)
+
+
+def _passes_known_answer(fft) -> bool:
+    """On n=8, 1 + cos(3 pi x) cos(5 pi y) at cell centers has the two
+    orthonormal DCT-II coefficients n at (0, 0) and n/2 at (3, 5), and the
+    inverse maps those back to it, both to 1e-12."""
+    n = 8
+    c = (np.arange(n) + 0.5) / n
+    x = 1.0 + np.outer(np.cos(3 * np.pi * c), np.cos(5 * np.pi * c))
+    expected = np.zeros((n, n))
+    expected[0, 0], expected[3, 5] = n, n / 2
+    coeffs = fft.dctn(x, type=2, norm="ortho")
+    if not np.allclose(coeffs, expected, rtol=0, atol=1e-12):
+        return False
+    return np.allclose(fft.idctn(expected, type=2, norm="ortho"), x, rtol=0, atol=1e-12)
+
+
+def _load_dct():
+    """The DCT pair of the Helmholtz solves: scipy's pocketfft extension
+    when it loads and passes the known-answer check, else scipy.fft."""
+    path = _pocketfft_path()
+    if path is not None:
+        try:
+            fft = _PocketDCT(_load_pocketfft_dct(path))
+            if _passes_known_answer(fft):
+                return fft
+        except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
+            pass
+    from scipy import fft
+
+    return fft
+
+
+_fft = _load_dct()
 
 
 @dataclass(frozen=True)
@@ -138,6 +228,8 @@ class _Workspace:
         # boundary-normal ones stay zero (no-flux)
         self.fx = np.zeros((n + 1, n))
         self.fy = np.zeros((n, n + 1))
+        # the interior y faces, contiguous, for building a y flux
+        self.fy_interior = np.empty((n, n - 1))
         # a solve's denominator, then its residual's neighbour sums
         self.cell = np.empty((n, n))
         # the residual of the last solve on this grid

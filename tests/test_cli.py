@@ -1,6 +1,8 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -562,3 +564,37 @@ def test_one_exception_root():
     ):
         assert issubclass(exc, hotspotsim.HotspotError)
     assert not issubclass(solver.InitialConditionError, ValueError)
+
+
+_FRESH_CLI = """
+import json
+import sys
+from hotspotsim import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    seen.append([argv[0], cli.main(argv), "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    """Importing scipy.fft costs about 0.3 s of every process start; the
+    DCT comes from its extension, loaded without importing scipy."""
+    cfg = tmp_path / "run.json"
+    write_config(cfg, **{"grid.n": 16, "time.t_end": 0.01})
+    commands = [
+        TestCheck.BASE + ["--amin", "0.7", "--amax", "1.0"],
+        ["table", "--psi", "0.0046667", "--area", "1", "--eta-list", "0.1"],
+        ["verify", "--n", "32", "--samples", "1", "--max-mode", "3"],
+        ["steady", "--psi", "0.0046667", "--atilde", "0.7"],
+        ["simulate", str(cfg)],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, json.dumps(commands)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == [[argv[0], 0, False] for argv in commands]
+    assert (tmp_path / "out" / "A_0.010000.field").is_file()

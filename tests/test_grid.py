@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 
 import hotspotsim
+from hotspotsim import grid as grid_module
 from hotspotsim.grid import (
     HELMHOLTZ_TOL,
     GridMismatch,
@@ -471,3 +473,65 @@ class TestHelmholtzWorkspace:
         info = _workspace.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize <= 8
+
+
+def _dct_with_old_signature(x, type, axes=None, inorm=0, out=None, nthreads=1):
+    return np.zeros_like(x)
+
+
+def _load_fails(path):
+    raise ImportError(f"cannot load {path}")
+
+
+class TestDctPair:
+    """The DCT pair loaded from scipy's pocketfft extension against
+    scipy.fft, which makes the same call."""
+
+    def test_the_extension_is_loaded(self):
+        assert isinstance(grid_module._fft, grid_module._PocketDCT)
+        assert isinstance(grid_module._load_dct(), grid_module._PocketDCT)
+
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    @pytest.mark.parametrize("overwrite_x", [False, True])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bitwise_equal_to_scipy(self, n, overwrite_x, transposed):
+        base = np.random.default_rng(n).standard_normal((n, n))
+        view = (lambda a: a.T) if transposed else (lambda a: a)
+        ours, theirs = view(base.copy()), view(base.copy())
+        got = grid_module._fft.dctn(ours, type=2, norm="ortho", overwrite_x=overwrite_x)
+        want = scipy_fft.dctn(theirs, type=2, norm="ortho", overwrite_x=overwrite_x)
+        assert got.tobytes() == want.tobytes()
+        assert ours.tobytes() == theirs.tobytes()
+        if not overwrite_x:
+            assert ours.tobytes() == view(base).tobytes()
+        back = grid_module._fft.idctn(got, type=2, norm="ortho", overwrite_x=overwrite_x)
+        back_want = scipy_fft.idctn(want, type=2, norm="ortho", overwrite_x=overwrite_x)
+        assert back.tobytes() == back_want.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    def test_only_the_orthonormal_type_2_pair(self):
+        x = np.ones((8, 8))
+        with pytest.raises(ValueError):
+            grid_module._fft.dctn(x, type=3, norm="ortho")
+        with pytest.raises(ValueError):
+            grid_module._fft.idctn(x, type=2, norm="backward")
+
+    @pytest.mark.parametrize(
+        "attr, stand_in",
+        [
+            ("_pocketfft_path", lambda: None),
+            ("_load_pocketfft_dct", lambda path: lambda x, *args: np.zeros_like(x)),
+            ("_load_pocketfft_dct", lambda path: _dct_with_old_signature),
+            ("_load_pocketfft_dct", _load_fails),
+        ],
+        ids=["not-found", "wrong-values", "wrong-signature", "load-fails"],
+    )
+    def test_falls_back_to_scipy_fft(self, monkeypatch, attr, stand_in):
+        monkeypatch.setattr(grid_module, attr, stand_in)
+        fft = grid_module._load_dct()
+        assert fft is scipy_fft
+        x = np.random.default_rng(9).standard_normal((9, 9))
+        got = fft.dctn(x, type=2, norm="ortho")
+        assert got.tobytes() == grid_module._fft.dctn(x, type=2, norm="ortho").tobytes()
+        back = fft.idctn(got, type=2, norm="ortho")
+        assert back.tobytes() == grid_module._fft.idctn(got, type=2, norm="ortho").tobytes()
