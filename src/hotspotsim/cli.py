@@ -192,41 +192,16 @@ def _snapshot_tags(times) -> list[str]:
     raise ValueError("two snapshots share one time")
 
 
-def _write_snapshot(stem: Path, field: ScalarField) -> None:
-    """One snapshot job: `<stem>.field`, `<stem>.pgm` and its sidecar."""
-    write_field(f"{stem}.field", field)
-    _write_pgm(Path(f"{stem}.pgm"), field)
-
-
 def _write_snapshots(out_dir: Path, snapshots) -> None:
-    """Write every snapshot field in worker processes, one job per field.
-    Float formatting holds the interpreter lock, so threads would not
-    overlap it.  Workers are forked, not spawned: a spawned worker imports
-    numpy again, which costs most of what the parallel write saves.
-    A job only formats floats, runs elementwise numpy and writes files, so
-    it needs no lock that another thread of the parent held at the fork."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    """Write each snapshot field, A and N at every output time, as
+    `<name>_<tag>.field`, `<name>_<tag>.pgm` and its sidecar, in this
+    process and one field after another."""
     tags = _snapshot_tags([t for t, _, _ in snapshots])
-    jobs = [
-        (out_dir / f"{name}_{tag}", field)
-        for tag, (_, A, N) in zip(tags, snapshots)
-        for name, field in (("A", A), ("N", N))
-    ]
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        futures = [pool.submit(_write_snapshot, *job) for job in jobs]
-        try:
-            # result() re-raises a worker's exception, OSError included
-            for future in futures:
-                future.result()
-        except BrokenProcessPool as exc:  # a worker was killed, say by a signal
-            raise OSError(
-                None, "a snapshot worker ended abruptly", str(out_dir)
-            ) from exc
+    for tag, (_, A, N) in zip(tags, snapshots):
+        for name, field in (("A", A), ("N", N)):
+            stem = out_dir / f"{name}_{tag}"
+            write_field(f"{stem}.field", field)
+            _write_pgm(Path(f"{stem}.pgm"), field)
 
 
 # the names `_write_snapshots` gives its files; a time tag has at least six

@@ -391,11 +391,17 @@ def _helmholtz(g: GridSpec, rhs: np.ndarray, d: float, lam: float, dt: float) ->
     applied = np.multiply(u, c + 4.0 * k, out=ws.residual)
     applied -= nb
     applied -= rhs
-    scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    rel = float(np.linalg.norm(applied)) / scale
+    scale = max(_norm(rhs), np.finfo(float).tiny)
+    rel = _norm(applied) / scale
     if rel > HELMHOLTZ_TOL:
         raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
     return u
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 2-D array.  np.linalg.norm calls BLAS, which wakes
+    its sleeping threads on every call in a process not pinned to one."""
+    return math.sqrt(np.einsum("ij,ij->", v, v))
 
 
 def _neighbour_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -477,14 +483,64 @@ def spectral_hessian_norms(coeffs: np.ndarray, L: float) -> dict[str, float]:
 _HEADER_PREFIX = "hotspotfield v1"
 
 
+# Rows that orjson must print as repr does before the writer uses it: zeros
+# of both signs, the ends of the range repr prints without an exponent, and
+# values of up to 17 digits.
+_KNOWN_ROWS = np.array([
+    [0.0, -0.0, 1e-4, 9999999999999998.0, 0.1, -2.5, 1.0 / 3.0],
+    [1.0, 2.0 ** -13, -1e15, 123456.789, 0.30000000000000004, 7.0, -0.001],
+])
+
+
+def _repr_line(row: np.ndarray) -> bytes:
+    return " ".join(map(repr, row.tolist())).encode()
+
+
+def _field_lines(rows: np.ndarray, dumps=None) -> bytes:
+    """The .field lines of a C-contiguous 2-D float64 array: each row's
+    values as repr prints them, separated by spaces.  Given orjson's numpy
+    serializer `dumps`, which prints the same shortest round-trip digits,
+    it formats every row that repr prints without an exponent (each value
+    0 or 1e-4 <= |v| < 1e16); repr formats the other rows, as orjson writes
+    1e-05 as 0.00001, 1e+16 as 1e16 and a non-finite value as null."""
+    if dumps is None:
+        lines = [_repr_line(row) for row in rows]
+    else:
+        lines = dumps(rows)[2:-2].replace(b",", b" ").split(b"] [")
+        a = np.abs(rows)
+        positional = (a == 0.0) | ((a >= 1e-4) & (a < 1e16))
+        for j in np.flatnonzero(~positional.all(axis=1)):
+            lines[j] = _repr_line(rows[j])
+    return b"\n".join(lines) + b"\n"
+
+
+@functools.cache
+def _numpy_dumps():
+    """orjson's numpy serializer, imported on the first snapshot write; None
+    when orjson does not import or formats the known-answer rows unlike
+    repr."""
+    try:
+        import orjson
+
+        dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+        if _field_lines(_KNOWN_ROWS, dumps) == _field_lines(_KNOWN_ROWS):
+            return dumps
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass
+    return None
+
+
 def write_field(path, u: ScalarField) -> None:
     """Write the snapshot format: header line, then n lines of n values
-    (row-major, y increasing)."""
+    (row-major, y increasing), each value as repr prints it.  The lines are
+    formatted by orjson's numpy serializer, which prints the same digits
+    about 7x faster; without orjson, or when it fails its known-answer
+    check, by repr.  The bytes are the same either way."""
     g = u.grid
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER_PREFIX} L={g.L!r} n={g.n}\n")
-        for j in range(g.n):
-            fh.write(" ".join(repr(float(v)) for v in u.values[:, j]) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{_HEADER_PREFIX} L={g.L!r} n={g.n}\n".encode())
+        rows = np.ascontiguousarray(u.values.T, dtype=np.float64)
+        fh.write(_field_lines(rows, _numpy_dumps()))
 
 
 def read_field(path, grid: GridSpec | None = None) -> ScalarField:

@@ -1,6 +1,6 @@
+import errno
 import json
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -343,20 +343,19 @@ class TestSnapshotEmission:
         for name in names:
             assert (out_dir / name).read_bytes() == (ref / name).read_bytes(), name
 
-    def test_no_pool_without_snapshots(self, tmp_path, capsys, monkeypatch):
-        import concurrent.futures
+    def test_snapshots_are_written_in_this_process(self, tmp_path, capsys, monkeypatch):
+        pids = []
+        real = cli.write_field
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was created")
+        def recording(path, field):
+            pids.append(os.getpid())
+            real(path, field)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(cli, "write_field", recording)
         cfg = tmp_path / "run.json"
-        write_config(cfg, **{"outputs.snapshots": False})
-        assert cli.main(["simulate", str(cfg)]) == 0
-        # the patch is where the emitter looks the executor up
         write_config(cfg)
-        with pytest.raises(AssertionError, match="process pool"):
-            cli.main(["simulate", str(cfg)])
+        assert cli.main(["simulate", str(cfg)]) == 0
+        assert pids == [os.getpid()] * (4 * 2)  # 4 outputs, A and N
 
     def test_sub_microsecond_outputs_keep_every_snapshot(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -400,11 +399,6 @@ class TestSnapshotEmission:
     ])
     def test_snapshot_tags(self, times, tags):
         assert cli._snapshot_tags(times) == tags
-
-
-def _die(stem, field):
-    """A snapshot job whose worker is killed; module level, so it pickles."""
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestStepCounts:
@@ -456,7 +450,7 @@ class TestEmissionErrors:
         assert err.startswith(f"error: {blocker}: ")
         assert "Traceback" not in err
 
-    def test_write_failure_in_a_worker(self, tmp_path, capsys):
+    def test_write_failure_of_a_snapshot_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         write_config(cfg)
         target = tmp_path / "out" / "A_0.010000.field"
@@ -466,14 +460,18 @@ class TestEmissionErrors:
         assert err.startswith(f"error: {target}: ")
         assert "Traceback" not in err
 
-    def test_killed_worker(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_write_snapshot", _die)
+    def test_disk_full_while_writing_a_heatmap(self, tmp_path, capsys, monkeypatch):
+        def full(path, field):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(cli, "_write_pgm", full)
         cfg = tmp_path / "run.json"
         write_config(cfg)
         assert cli.main(["simulate", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {tmp_path / 'out'}: ")
-        assert "worker" in err
+        target = tmp_path / "out" / "A_0.000000.pgm"
+        assert capsys.readouterr().err == (
+            f"error: {target}: {os.strerror(errno.ENOSPC)}\n"
+        )
 
 
 class TestNumericsValidation:
@@ -570,23 +568,32 @@ _FRESH_CLI = """
 import json
 import sys
 from hotspotsim import cli
+watched = ("scipy", "orjson", "multiprocessing", "concurrent.futures")
 seen = []
 for argv in json.loads(sys.argv[1]):
-    seen.append([argv[0], cli.main(argv), "scipy" in sys.modules])
+    code = cli.main(argv)
+    seen.append([argv[0], code, [name for name in watched if name in sys.modules]])
 print(json.dumps(seen))
 """
 
 
 def test_no_subcommand_imports_scipy(tmp_path):
     """Importing scipy.fft costs about 0.3 s of every process start; the
-    DCT comes from its extension, loaded without importing scipy."""
+    DCT comes from its extension, loaded without importing scipy.  orjson
+    (about 10 ms) is imported only to write a snapshot, and no command
+    starts a process pool."""
     cfg = tmp_path / "run.json"
     write_config(cfg, **{"grid.n": 16, "time.t_end": 0.01})
+    (tmp_path / "off").mkdir()
+    cfg_off = tmp_path / "off" / "run.json"
+    write_config(cfg_off, **{"grid.n": 16, "time.t_end": 0.01,
+                             "outputs.snapshots": False})
     commands = [
         TestCheck.BASE + ["--amin", "0.7", "--amax", "1.0"],
         ["table", "--psi", "0.0046667", "--area", "1", "--eta-list", "0.1"],
         ["verify", "--n", "32", "--samples", "1", "--max-mode", "3"],
         ["steady", "--psi", "0.0046667", "--atilde", "0.7"],
+        ["simulate", str(cfg_off)],
         ["simulate", str(cfg)],
     ]
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -596,5 +603,9 @@ def test_no_subcommand_imports_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == [[argv[0], 0, False] for argv in commands]
+    assert seen == [[argv[0], 0, []] for argv in commands[:-1]] + [
+        ["simulate", 0, ["orjson"]]
+    ]
+    assert (tmp_path / "off" / "out" / "outcome.json").is_file()
+    assert not list((tmp_path / "off" / "out").glob("A_*"))
     assert (tmp_path / "out" / "A_0.010000.field").is_file()

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -368,6 +370,160 @@ class TestFieldIO:
         write_field(path, u)
         with pytest.raises(GridMismatch):
             read_field(path, GridSpec(L=1.0, n=16))
+
+
+def repr_field_bytes(u: ScalarField) -> bytes:
+    """The reference .field writer: every value through repr."""
+    g = u.grid
+    lines = [f"hotspotfield v1 L={g.L!r} n={g.n}"]
+    lines += [" ".join(repr(float(v)) for v in u.values[:, j]) for j in range(g.n)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _around(x: float, steps: int = 3) -> list[float]:
+    """x and its `steps` nearest doubles on each side."""
+    below, above, out = x, x, [x]
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [float(below), float(above)]
+    return out
+
+
+# where repr and orjson print different exponent forms, and the specials
+EDGE_VALUES = [
+    v * sign
+    for v in _around(1e-4) + _around(1e16) + [
+        0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1e-300, 1e-5, 1e-7, 1e21, 1e300, 1.7976931348623157e308,
+    ]
+    for sign in (1.0, -1.0)
+]
+
+positional_values = (
+    st.floats(1e-4, 1e16, exclude_max=True)
+    | st.floats(-1e16, -1e-4, exclude_min=True)
+    | st.sampled_from([0.0, -0.0])
+)
+bit_pattern_values = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(math.isfinite)
+any_values = positional_values | bit_pattern_values | st.sampled_from(EDGE_VALUES)
+
+
+def bit_patterns(rng, size):
+    """Uniform random bit patterns as doubles; a non-finite one becomes 0."""
+    x = np.frombuffer(rng.bytes(8 * size), dtype=np.float64).copy()
+    x[~np.isfinite(x)] = 0.0
+    return x
+
+
+def positional_mix(rng, size):
+    """Half field-like values in [0.5, 2), half of either sign spread over
+    the positional range 1e-4 <= |v| < 1e16."""
+    spread = 10.0 ** rng.uniform(-4.0, 16.0, size) * rng.choice([-1.0, 1.0], size)
+    return np.where(rng.random(size) < 0.5, rng.uniform(0.5, 2.0, size), spread)
+
+
+@st.composite
+def fields(draw, bulk, values):
+    """A field of `bulk(rng, n * n)` values, seeded by hypothesis, with up to
+    eight cells set to values drawn from `values`."""
+    n = draw(st.sampled_from([8, 9, 16]))
+    vals = bulk(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n * n)
+    cells = st.tuples(st.integers(0, n * n - 1), values)
+    for k, v in draw(st.lists(cells, max_size=8)):
+        vals[k] = v
+    return ScalarField(GridSpec(L=1.0, n=n), vals.reshape(n, n))
+
+
+@pytest.fixture(scope="module")
+def field_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fields") / "u.field"
+
+
+@pytest.fixture
+def fresh_dumps():
+    """The serializer is chosen again on the next write, and after the test."""
+    grid_module._numpy_dumps.cache_clear()
+    yield
+    grid_module._numpy_dumps.cache_clear()
+
+
+def _wrong_digits(obj, option=None):
+    return orjson.dumps(obj, option=option).replace(b"0.1", b"0.10")
+
+
+def _raises(obj, option=None):
+    raise TypeError("Type is not JSON serializable: numpy.ndarray")
+
+
+class TestFieldBytes:
+    """write_field against the repr writer: orjson formats every row that
+    holds only positional values, repr the rest."""
+
+    def test_orjson_is_used(self):
+        assert grid_module._numpy_dumps() is not None
+
+    @given(u=fields(bit_patterns, bit_pattern_values))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bit_patterns(self, u, field_path):
+        write_field(field_path, u)
+        assert field_path.read_bytes() == repr_field_bytes(u)
+
+    @given(u=fields(positional_mix, positional_values))
+    @settings(max_examples=100, deadline=None)
+    def test_positional_values(self, u, field_path):
+        write_field(field_path, u)
+        assert field_path.read_bytes() == repr_field_bytes(u)
+
+    @given(u=fields(positional_mix, any_values))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_mixing_positional_and_exponent_tokens(self, u, field_path):
+        write_field(field_path, u)
+        assert field_path.read_bytes() == repr_field_bytes(u)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_edge_value(self, value, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=8), seed=3)
+        u.values[2, 5] = value  # row 5: one edge value among positional ones
+        u.values[:, 7] = value  # row 7: edge values only
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == repr_field_bytes(u)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_values_replaced_by_another_dtype(self, dtype, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=8), seed=5)
+        u.values = (u.values * 10).astype(dtype)  # bypasses the constructor
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == repr_field_bytes(u)
+
+    @given(u=fields(bit_patterns, any_values) | fields(positional_mix, any_values))
+    @settings(max_examples=100, deadline=None)
+    def test_read_returns_the_written_field_bitwise(self, u, field_path):
+        write_field(field_path, u)
+        assert read_field(field_path).values.tobytes() == u.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "stand_in",
+        [
+            None,
+            SimpleNamespace(dumps=_wrong_digits, OPT_SERIALIZE_NUMPY=0),
+            SimpleNamespace(dumps=_raises, OPT_SERIALIZE_NUMPY=0),
+            SimpleNamespace(dumps=_raises),
+        ],
+        ids=["not-importable", "wrong-digits", "raises", "no-numpy-option"],
+    )
+    def test_falls_back_to_repr(self, monkeypatch, fresh_dumps, tmp_path, stand_in):
+        monkeypatch.setitem(sys.modules, "orjson", stand_in)
+        assert grid_module._numpy_dumps() is None
+        u = rand_field(GridSpec(L=1.0, n=9), seed=4)
+        u.values[3, 4] = 1e-5
+        u.values[0, 0] = 0.1  # printed wrong by the wrong-digits stand-in
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == repr_field_bytes(u)
 
 
 class TestFunctionalSymmetry:
