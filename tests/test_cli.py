@@ -580,8 +580,8 @@ print(json.dumps(seen))
 def test_no_subcommand_imports_scipy(tmp_path):
     """Importing scipy.fft costs about 0.3 s of every process start; the
     DCT comes from its extension, loaded without importing scipy.  orjson
-    (about 10 ms) is imported only to write a snapshot, and no command
-    starts a process pool."""
+    (about 10 ms) is imported only to read an initial-condition file of
+    n >= 128 or to write a snapshot, and no command starts a process pool."""
     cfg = tmp_path / "run.json"
     write_config(cfg, **{"grid.n": 16, "time.t_end": 0.01})
     (tmp_path / "off").mkdir()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -371,6 +372,17 @@ class TestFieldIO:
         with pytest.raises(GridMismatch):
             read_field(path, GridSpec(L=1.0, n=16))
 
+    def test_huge_header_n_fails_at_the_end_of_the_file(self, tmp_path):
+        # rows are read only while the file has them: a two-line file whose
+        # header claims 2e7 rows fails at once, with the per-row message
+        path = tmp_path / "u.field"
+        path.write_text("hotspotfield v1 L=1.0 n=20000000\n1.0 2.0 3.0\n")
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            read_field(path)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"{path}: row 1 has 3 values, expected 20000000"
+
 
 def repr_field_bytes(u: ScalarField) -> bytes:
     """The reference .field writer: every value through repr."""
@@ -524,6 +536,243 @@ class TestFieldBytes:
         path = tmp_path / "u.field"
         write_field(path, u)
         assert path.read_bytes() == repr_field_bytes(u)
+
+
+def per_row_read(path, grid: GridSpec | None = None) -> ScalarField:
+    """The reference .field reader: each of the n rows parsed on its own by
+    np.array(line.split(sep), dtype=float), with read_field's messages."""
+    with open(path) as fh:
+        first = fh.readline()
+        if first.startswith("hotspotfield v1"):
+            tokens = dict(t.partition("=")[::2] for t in first.split()[2:])
+            grid = GridSpec(float(tokens["L"]), int(tokens["n"]))
+            sep, lines = None, []
+        else:
+            sep, lines = ("," if "," in first else None), [first]
+        lines += [fh.readline() for _ in range(grid.n - len(lines))]
+    rows = []
+    for j, line in enumerate(lines):
+        if not line:
+            raise ValueError(f"{path}: file ends after {j} of {grid.n} rows")
+        try:
+            row = np.array(line.split(sep), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {j + 1}: {exc}") from None
+        if row.shape != (grid.n,):
+            raise ValueError(f"{path}: row {j + 1} has {row.size} values, expected {grid.n}")
+        rows.append(row)
+    try:
+        return ScalarField(grid, np.vstack(rows).T.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_outcome(reader, path, grid=None):
+    """The bytes of the values a reader returns, or the text of its error."""
+    try:
+        return reader(path, grid).values.tobytes()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def field_text(u: ScalarField, fmt=repr) -> str:
+    lines = [f"hotspotfield v1 L={u.grid.L!r} n={u.grid.n}"]
+    lines += [" ".join(fmt(float(v)) for v in row) for row in u.values.T]
+    return "\n".join(lines) + "\n"
+
+
+def percent_17g(v: float) -> str:
+    return f"{v:.17g}"
+
+
+@pytest.fixture
+def fast_rows(monkeypatch):
+    """The results of read_field's orjson path, in order; None where it
+    declined the file."""
+    taken, parse = [], grid_module._json_rows
+
+    def spy(*args):
+        taken.append(parse(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(grid_module, "_json_rows", spy)
+    return taken
+
+
+@pytest.fixture
+def fresh_loads():
+    """The parser is chosen again on the next read, and after the test."""
+    grid_module._json_loads.cache_clear()
+    yield
+    grid_module._json_loads.cache_clear()
+
+
+def _wrong_values(doc):
+    return orjson.loads(doc.replace(b"7", b"8"))
+
+
+def _raises_on_parse(doc):
+    raise ValueError("unexpected character: line 1 column 2 (char 1)")
+
+
+# tokens float() and JSON read alike, differently or not at all
+ODD_TOKENS = [
+    "-0", "-0.0", "0", "-0e5", "-1e-400", "1e-400", "2.4703282292062328e-324",
+    "9007199254740993", "18446744073709551615", "18446744073709551617",
+    "-9223372036854775809", "123456789012345678901234567890", "1E+16", "1e-5",
+    "1e400", "-1e400", "nan", "inf", "-inf", "+1.0", ".5", "5.", "00.5", "1_0",
+    "true", "null", "[1.0]", '"1.0"', "0x10", "1.0.0", "--1", "1e", "e5",
+]
+
+
+@pytest.mark.parametrize("n, taken", [(127, []), (128, [True])])
+def test_orjson_parses_from_n_128_up(n, taken, fast_rows, tmp_path):
+    # below n=128, importing orjson would cost more than it saves
+    u = rand_field(GridSpec(L=1.0, n=n), seed=12)
+    path = tmp_path / "u.field"
+    write_field(path, u)
+    assert read_field(path).values.tobytes() == u.values.tobytes()
+    assert [rows is not None for rows in fast_rows] == taken
+
+
+class TestFieldParse:
+    """read_field against the per-row reader: the same values bitwise, or
+    the same error text, whether or not orjson parsed the file."""
+
+    @pytest.fixture(autouse=True)
+    def small_files_too(self, monkeypatch):
+        """orjson parses files of every n, not only from n=128 up."""
+        monkeypatch.setattr(grid_module, "_JSON_MIN_N", 8)
+
+    def test_orjson_is_used(self):
+        assert grid_module._json_loads() is not None
+
+    @given(u=fields(bit_patterns, any_values), fmt=st.sampled_from([repr, percent_17g]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bit_patterns(self, u, fmt, field_path):
+        field_path.write_text(field_text(u, fmt))
+        assert read_field(field_path).values.tobytes() == u.values.tobytes()
+        assert read_outcome(per_row_read, field_path) == u.values.tobytes()
+
+    @given(u=fields(positional_mix, any_values), fmt=st.sampled_from([repr, percent_17g]))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_mixing_positional_and_exponent_tokens(self, u, fmt, field_path):
+        field_path.write_text(field_text(u, fmt))
+        assert read_field(field_path).values.tobytes() == u.values.tobytes()
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["spaces", "csv"])
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    def test_odd_token(self, token, csv, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=8), seed=6)
+        rows = [[repr(float(v)) for v in row] for row in u.values.T]
+        rows[2][3] = token  # among positional values
+        rows[5] = [token] * 8  # a whole row
+        path = tmp_path / "u.csv"
+        path.write_text("".join((", " if csv else " ").join(r) + "\n" for r in rows))
+        expected = read_outcome(per_row_read, path, u.grid)
+        assert read_outcome(read_field, path, u.grid) == expected
+
+    @pytest.mark.parametrize("token", ["-0", "-0.0", "-0e5", "-1e-400"])
+    def test_negative_zero_keeps_its_sign(self, token, tmp_path):
+        path = tmp_path / "u.field"
+        rest = " ".join(["0", "-0.5"] * 4) + "\n"
+        path.write_text(f"hotspotfield v1 L=1.0 n=8\n{token}" + " 0.5" * 7 + "\n" + rest * 7)
+        v = read_field(path)
+        assert np.signbit(v.values[0, 0])
+        assert v.values.tobytes() == per_row_read(path).values.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace(" ", "\t"),
+        lambda t: t.replace(" ", "  "),
+        lambda t: t.replace("\n", " \n"),
+        lambda t: t.replace("\n", "\n "),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t.rstrip("\n"),
+        lambda t: t + "\n",
+        lambda t: t + "1.0 2.0\nnot a row\n",
+        lambda t: t.replace(" ", "\u00a0"),
+        lambda t: t.replace(" ", "\x0c", 5),
+        lambda t: t.replace("\n", "\n\n", 3),
+        lambda t: t.replace(" ", ",", 9),
+        lambda t: "\n".join(t.split("\n")[:5]),
+        lambda t: t.replace("5", "5 ", 1),
+    ], ids=["tabs", "double-spaces", "trailing-spaces", "leading-spaces", "crlf",
+            "cr", "no-final-newline", "blank-line-after-row-n", "lines-after-row-n",
+            "no-break-spaces", "form-feeds", "blank-lines-inside", "commas",
+            "cut-off", "split-value"])
+    def test_layout(self, edit, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=9), seed=7)
+        header, body = field_text(u).split("\n", 1)
+        path = tmp_path / "u.field"
+        path.write_bytes(f"{header}\n{edit(body)}".encode())
+        assert read_outcome(read_field, path) == read_outcome(per_row_read, path)
+
+    @pytest.mark.parametrize("sep", [",", ", ", " ,", ",\t", ",,", " "])
+    @pytest.mark.parametrize("tail", ["\n", "", ",\n", "\n\n", "\nx,y\n"])
+    def test_headerless_csv(self, sep, tail, tmp_path):
+        grid = GridSpec(L=1.0, n=8)
+        u = rand_field(grid, seed=9)
+        path = tmp_path / "u.csv"
+        rows = [sep.join(repr(float(v)) for v in row) for row in u.values.T]
+        path.write_text("\n".join(rows) + tail)
+        assert read_outcome(read_field, path, grid) == read_outcome(per_row_read, path, grid)
+
+    @pytest.mark.parametrize("text", [
+        "hotspotfield v1 L=1.0 n=8\n" + "1.0 " * 7 + "1.0\n",
+        "hotspotfield v1 L=1.0 n=8\n" + ("1.0 " * 7 + "1.0\n") * 5 + "1.0 2.0\n",
+        "hotspotfield v1 L=1.0 n=8\n" + "1.0 " * 7 + "1.0\nx" + ("1.0 " * 7 + "1.0\n") * 7,
+        "hotspotfield v1 L=1.0 n=8\n" + ("1.0 " * 8 + "1.0\n") * 8,
+        "hotspotfield v1 L=1.0 n=8\n" + ("1.0 " * 7 + "1e400\n") * 8,
+        "hotspotfield v1 L=1.0 n=8\n",
+        "",
+    ], ids=["cut-off", "short-row", "bad-value", "long-rows", "overflow", "no-rows",
+            "empty"])
+    def test_malformed_file(self, text, tmp_path):
+        path = tmp_path / "u.field"
+        path.write_text(text)
+        grid = GridSpec(L=1.0, n=8)
+        assert read_outcome(read_field, path, grid) == read_outcome(per_row_read, path, grid)
+
+    def test_fast_path_is_taken_on_a_written_field(self, fast_rows, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=16), seed=10)
+        u.values[3, 4] = 1e-5  # a row with an exponent token
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert read_field(path).values.tobytes() == u.values.tobytes()
+        assert len(fast_rows) == 1 and fast_rows[0] is not None
+
+    @pytest.mark.parametrize("fmt", [repr, percent_17g])
+    def test_fast_path_is_taken_on_random_bit_patterns(self, fmt, fast_rows, tmp_path):
+        vals = bit_patterns(np.random.default_rng(11), 32 * 32).reshape(32, 32)
+        vals[vals == 0.0] = 0.5  # a zero next to `-0` text (e-05) goes row by row
+        u = ScalarField(GridSpec(L=1.0, n=32), vals)
+        path = tmp_path / "u.field"
+        path.write_text(field_text(u, fmt))
+        assert read_field(path).values.tobytes() == vals.tobytes()
+        assert fast_rows[0] is not None
+
+    @pytest.mark.parametrize(
+        "stand_in",
+        [
+            None,
+            SimpleNamespace(loads=_wrong_values),
+            SimpleNamespace(loads=_raises_on_parse),
+            SimpleNamespace(),
+        ],
+        ids=["not-importable", "wrong-values", "raises", "no-loads"],
+    )
+    def test_falls_back_to_the_per_row_parse(self, monkeypatch, fresh_loads, tmp_path,
+                                             stand_in):
+        monkeypatch.setitem(sys.modules, "orjson", stand_in)
+        assert grid_module._json_loads() is None
+        u = rand_field(GridSpec(L=1.0, n=9), seed=4)
+        u.values[3, 4] = 7.0  # parsed wrong by the wrong-values stand-in
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert read_field(path).values.tobytes() == u.values.tobytes()
+        path.write_text(field_text(u).replace("7.0", "7.0x"))
+        assert read_outcome(read_field, path) == read_outcome(per_row_read, path)
 
 
 class TestFunctionalSymmetry:
