@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -309,32 +308,18 @@ class EnergyResiduals:
 
 class SnapshotTerms:
     """The scalars of one output that the energy balances take in every
-    window the output sits in (up to three), each computed at most once:
-    ||A||_2^2, ||grad A||_2^2, the Boltzmann entropy of N and ||N||_2^2.
-    A known ||grad A||_2^2, such as a diagnostics record's, may be given."""
+    window the output sits in (up to three), computed once, when the
+    output arrives, so its fields need not be kept for them: ||A||_2^2,
+    ||grad A||_2^2, the Boltzmann entropy of N and ||N||_2^2.  A known
+    ||grad A||_2^2, such as a diagnostics record's, may be given."""
 
     def __init__(
         self, A: ScalarField, N: ScalarField, grad_A_l2sq: Optional[float] = None
     ):
-        self.A, self.N = A, N
-        if grad_A_l2sq is not None:
-            self.grad_A_l2sq = grad_A_l2sq
-
-    @cached_property
-    def A_l2sq(self) -> float:
-        return g.lp_norm(self.A, 2) ** 2
-
-    @cached_property
-    def grad_A_l2sq(self) -> float:
-        return g.grad_l2sq(self.A)
-
-    @cached_property
-    def entropy(self) -> float:
-        return boltzmann_entropy(self.N)
-
-    @cached_property
-    def N_l2sq(self) -> float:
-        return g.lp_norm(self.N, 2) ** 2
+        self.A_l2sq = g.lp_norm(A, 2) ** 2
+        self.grad_A_l2sq = g.grad_l2sq(A) if grad_A_l2sq is None else grad_A_l2sq
+        self.entropy = boltzmann_entropy(N)
+        self.N_l2sq = g.lp_norm(N, 2) ** 2
 
 
 def _grad_dot(G, F) -> float:
@@ -359,13 +344,15 @@ def energy_residuals(
     """Absolute defects of the four energy balances on a uniformly spaced
     window of three consecutive outputs ((t-d, A, N), (t, A, N), (t+d, A, N)),
     with time derivatives by central differences at the middle time.
-    `terms` are the three outputs' SnapshotTerms, when the caller keeps them
-    for the next windows."""
-    (t0, A0, N0), (t1, A1, N1), (t2, A2, N2) = window
+    `terms` are the three outputs' SnapshotTerms, of outputs with N > 0,
+    when the caller keeps them; then only the middle output's fields are
+    read, and the outer two may be None."""
+    (t0, _, _), (t1, A1, N1), (t2, _, _) = window
     d0, d1 = t1 - t0, t2 - t1
     if d0 <= 0 or abs(d1 - d0) > 1e-9 * max(d0, d1):
         raise ValueError("window must be uniformly spaced in time")
-    if min(np.min(N0.values), np.min(N1.values), np.min(N2.values)) <= 0:
+    checked = window if terms is None else window[1:2]
+    if min(np.min(N.values) for _, _, N in checked) <= 0:
         raise NonPositiveN("the entropy balance needs N > 0 on the whole window")
     if terms is None:
         terms = [SnapshotTerms(A, N) for _, A, N in window]
@@ -374,14 +361,12 @@ def energy_residuals(
     area_w = A1.grid.h ** 2
 
     a, n = A1.values, N1.values
-    psi, eta, omega, atilde, chi = (
-        params.psi,
-        params.eta,
-        params.omega,
-        params.atilde,
-        params.chi,
-    )
+    psi, eta, omega = params.psi, params.eta, params.omega
+    atilde, chi = params.atilde, params.chi
 
+    # each integral is taken, and its n^2 temporaries dropped, before the
+    # arrays of the next are built, so few are alive at once; every one
+    # keeps its operations and their order
     d_a2 = (s2.A_l2sq - s0.A_l2sq) / two_d
     r1 = abs(
         0.5 * d_a2
@@ -399,20 +384,22 @@ def energy_residuals(
         + eta * (float(np.sum(lap_a ** 2)) * area_w)
         + psi * float(np.sum(n * a * (1.0 - a) * lap_a)) * area_w
     )
-    del lap_a  # one field fewer alive while the N terms below are built
+    del lap_a
 
-    # the gradient of N1 and its face means serve the fisher term, both
-    # dot products and ||grad N1||_2^2; N1 > 0 was checked above
-    theta_grad = sensitivity_grad(A1, chi, sensitivity_floor(A1))
+    id3_rhs = omega * float(np.sum(np.log(n) - n + 1.0)) * area_w
+    # the gradient of N1 serves ||grad N1||_2^2, both dot products and, with
+    # the face means of N1, the fisher term; N1 > 0 was checked above
     grad_n = g.gradient(N1)
+    grad_n_l2sq = float(np.sum(g._grad_sq_cells(grad_n))) * area_w
+    theta_grad = sensitivity_grad(A1, chi, sensitivity_floor(A1))
+    theta_dot = _grad_dot(grad_n, theta_grad)
     n_means = g._face_means(N1)
     d_ent = (s2.entropy - s0.entropy) / two_d
-    id3_rhs = omega * float(np.sum(np.log(n) - n + 1.0)) * area_w
     r3 = abs(
         d_ent
         + omega * s1.entropy
         + g._fisher(grad_n, n_means)
-        - _grad_dot(grad_n, theta_grad)
+        - theta_dot
         - id3_rhs
     )
 
@@ -420,7 +407,7 @@ def energy_residuals(
     r4 = abs(
         0.5 * d_n2
         + omega * s1.N_l2sq
-        + float(np.sum(g._grad_sq_cells(grad_n))) * area_w
+        + grad_n_l2sq
         - _weighted_grad_dot(n_means, grad_n, theta_grad)
         - omega * g.integral(N1)
     )

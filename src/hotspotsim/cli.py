@@ -73,11 +73,16 @@ def _integer(name: str, value, n: int | None = None) -> int:
     return value
 
 
+def _non_finite(literal: str):
+    raise ConfigError(f"config holds {literal}, which is not a finite number")
+
+
 def load_config(path) -> tuple[solver.SimConfig, dict]:
     """Parse and validate the JSON run configuration; returns the SimConfig
-    and the output options (dir, snapshots, diagnostics)."""
+    and the output options (dir, snapshots, diagnostics).  The literals
+    NaN, Infinity and -Infinity, which json accepts, are rejected."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
@@ -251,7 +256,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        result = solver.run(config)
+        result = solver.run(config, keep_snapshots=out_opts["snapshots"])
     except solver.InitialConditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

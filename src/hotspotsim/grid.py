@@ -51,6 +51,7 @@ class UnresolvableMode(GridError):
 
 
 HELMHOLTZ_TOL = 1e-10
+_TINY = np.finfo(float).tiny  # the residual check's floor under ||rhs||
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,8 @@ class _Workspace:
         self.cell = np.empty((n, n))
         # the residual of the last solve on this grid
         self.residual = np.empty((n, n))
+        # the main model's explicit reaction rate of A
+        self.rA = np.empty((n, n))
         # the explicit stages of a step, the right-hand sides of its solves
         self.rhs_A = np.empty((n, n))
         self.rhs_N = np.empty((n, n))
@@ -395,7 +398,7 @@ def _helmholtz(g: GridSpec, rhs: np.ndarray, d: float, lam: float, dt: float) ->
     applied = np.multiply(u, c + 4.0 * k, out=ws.residual)
     applied -= nb
     applied -= rhs
-    scale = max(_norm(rhs), np.finfo(float).tiny)
+    scale = max(_norm(rhs), _TINY)
     rel = _norm(applied) / scale
     if rel > HELMHOLTZ_TOL:
         raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
@@ -565,7 +568,7 @@ def _json_rows(lines: list[str], sep: str | None, loads) -> np.ndarray | None:
     digits, signs, '.', 'e', 'E', newlines and spaces (and commas when
     sep=","), a token JSON rejects, rows of unequal length, or a +0.0 that
     a `-0` token, read by JSON as the integer 0, might have given."""
-    body = "".join(lines).encode()
+    body = "".join(lines).encode(errors="surrogateescape")
     if body.translate(None, b"0123456789+-.eE \n" + (b"," if sep else b"")):
         return None
     if sep is None:
@@ -604,8 +607,9 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
     rows and stops at the end of the file.  From n=128 up, orjson parses
     the rows when _json_rows finds that it gives the values float() gives;
     otherwise each row is parsed with float().  A malformed file raises
-    ValueError naming the file and the part that is wrong."""
-    with open(path) as fh:
+    ValueError naming the file and the part that is wrong; a byte that is
+    not UTF-8 is escaped on reading, so it fails where its row is parsed."""
+    with open(path, errors="surrogateescape") as fh:
         first = fh.readline()
         if first.startswith(_HEADER_PREFIX):
             tokens = dict(t.partition("=")[::2] for t in first.split()[2:])
@@ -638,7 +642,9 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
             try:
                 row = np.array(line.split(sep), dtype=float)
             except ValueError as exc:
-                raise ValueError(f"{path}: row {j + 1}: {exc}") from None
+                bad = [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
+                why = f"byte {bad[0]:#04x} is not UTF-8" if bad else exc
+                raise ValueError(f"{path}: row {j + 1}: {why}") from None
             if row.shape != (n,):
                 raise ValueError(f"{path}: row {j + 1} has {row.size} values, expected {n}")
             rows.append(row)

@@ -17,6 +17,7 @@ from .grid import (
     VectorField,
     _face_means,
     _same_grid,
+    _workspace,
     gradient,
     lp_norm,
 )
@@ -58,7 +59,9 @@ class ModelKind:
     its homogeneous steady state and its invariant-region bounds."""
 
     def reaction(self, grid: GridSpec, a: np.ndarray, n: np.ndarray):
-        """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc."""
+        """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc.
+        The main model's rA is the grid's workspace buffer, which the next
+        call on that grid overwrites."""
         raise NotImplementedError
 
     def velocity(self, A: ScalarField, a_floor: float) -> VectorField:
@@ -89,7 +92,11 @@ class ModelParams(ModelKind):
             raise ValueError(f"{POSITIVITY_MESSAGE}; got {self}")
 
     def reaction(self, grid, a, n):
-        rA = self.psi * n * a * (1.0 - a) + self.atilde
+        # psi * n * a * (1.0 - a) + atilde, in that order
+        rA = np.multiply(self.psi, n, out=_workspace(grid).rA)
+        rA *= a
+        rA *= 1.0 - a
+        rA += self.atilde
         return rA, np.full_like(n, self.omega), 1.0, self.omega
 
     def steady_state(self):

@@ -87,11 +87,12 @@ class SimConfig:
     guard_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt_init <= 0 or self.dt_min <= 0:
+        # written so that NaN fails every test
+        if not (self.t_end > 0 and self.dt_init > 0 and self.dt_min > 0):
             raise ValueError("t_end, dt_init, dt_min must be positive")
         if self.dt_min > self.dt_init:
             raise ValueError("dt_min must not exceed dt_init")
-        if self.output_every < self.dt_min:
+        if not self.output_every >= self.dt_min:
             raise ValueError("output_every must be at least dt_min")
         if not (0 < self.cfl_advection <= 1):
             raise ValueError("cfl_advection must lie in (0, 1]")
@@ -115,7 +116,7 @@ class Outcome:
 @dataclass
 class RunResult:
     records: list
-    snapshots: list  # (t, A, N) at output times
+    snapshots: list  # (t, A, N) at output times, when run() keeps them
     outcome: Outcome
     max_step_mass_residual: float
     steps_accepted: int
@@ -286,22 +287,33 @@ def adapt_dt(velocity: VectorField, config: SimConfig, dt_prev: float) -> float:
 _SNAP = 1e-12
 
 
-def run(config: SimConfig) -> RunResult:
-    """Integrate to t_end or termination; deterministic given the config."""
-    A, N = build_initial(config)
+def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
+    """Integrate to t_end or termination; deterministic given the config.
+    Each output's energy residuals are filled in when the next output
+    arrives, so besides the state the loop holds the fields of at most one
+    earlier output; RunResult.snapshots holds them all when
+    `keep_snapshots` is true and stays empty otherwise."""
+    state = SimState(0.0, *build_initial(config))
     params = config.params
     # only the main model has invariant-region bounds; the floor they set,
     # the exact mass law and the energy balances hold for that model alone
-    bounds = params.bounds(A, N)
-    a_floor = sensitivity_floor(A, bounds)
-    n0_mass = integral(N)
+    bounds = params.bounds(state.A, state.N)
+    a_floor = sensitivity_floor(state.A, bounds)
+    n0_mass = integral(state.N)
     area = config.grid.area
 
-    state = SimState(0.0, A, N, 0)
-    records = [
-        analysis.diagnostics_record(state, params, bounds, n0_mass, config.guard_tol)
-    ]
-    snapshots = [(0.0, A, N)]
+    tol = config.guard_tol
+    records, snapshots = [], []
+    window, terms = [], []  # of the last outputs; see _slide_window
+
+    def output() -> None:
+        records.append(analysis.diagnostics_record(state, params, bounds, n0_mass, tol))
+        if keep_snapshots:
+            snapshots.append((state.t, state.A, state.N))
+        if bounds is not None:
+            _slide_window(window, terms, state, records, params)
+
+    output()
     outcome = Outcome("completed", config.t_end)
     max_mass_res = 0.0
     dt = min(config.dt_init, config.output_every)
@@ -353,12 +365,7 @@ def run(config: SimConfig) -> RunResult:
             if halved:
                 dt = dt_try
             if state.t >= t_next - _SNAP:
-                records.append(
-                    analysis.diagnostics_record(
-                        state, params, bounds, n0_mass, config.guard_tol
-                    )
-                )
-                snapshots.append((state.t, state.A, state.N))
+                output()
                 out_idx += 1
     except HotspotError as exc:
         # every numerical failure that halving cannot cure: a solve above its
@@ -366,27 +373,31 @@ def run(config: SimConfig) -> RunResult:
         # an output whose diagnostics are undefined
         outcome = Outcome("failed", state.t, str(exc))
 
-    if bounds is not None:
-        _attach_energy_residuals(records, snapshots, params)
     return RunResult(
         records, snapshots, outcome, max_mass_res, state.step_count, rejected
     )
 
 
-def _attach_energy_residuals(records, snapshots, params: ModelKind) -> None:
-    """Fill r1..r4 wherever a uniformly spaced three-output window exists.
-    Each output's scalars are computed once for all its windows, and its
-    ||grad A||_2^2 is the one its diagnostics record holds."""
-    terms = [
-        analysis.SnapshotTerms(A, N, rec.grad_A_l2sq)
-        for (_, A, N), rec in zip(snapshots, records)
-    ]
-    for i in range(1, len(snapshots) - 1):
-        t0, t1, t2 = snapshots[i - 1][0], snapshots[i][0], snapshots[i + 1][0]
-        if abs((t2 - t1) - (t1 - t0)) > 1e-9 * max(t1 - t0, t2 - t1):
-            continue
-        if min(rec.minN for rec in records[i - 1 : i + 2]) <= 0:
-            continue
-        records[i].residuals = analysis.energy_residuals(
-            snapshots[i - 1 : i + 2], params, terms=terms[i - 1 : i + 2]
-        )
+def _slide_window(window, terms, state: SimState, records, params) -> None:
+    """Add the output `state`, whose record is the last of `records`, to
+    `window`, the (t, A, N) of the last outputs, and its SnapshotTerms, or
+    None where N > 0 fails, to `terms`.  It completes the three-output
+    window of the output before it, whose energy residuals are filled in
+    where that window is uniformly spaced and every terms is known.  Only
+    the newest output keeps its fields: no later window reads the others'."""
+    rec = records[-1]
+    window.append((state.t, state.A, state.N))
+    terms.append(
+        analysis.SnapshotTerms(state.A, state.N, rec.grad_A_l2sq)
+        if rec.minN > 0
+        else None
+    )
+    if len(window) == 3:
+        t0, t1, t2 = (t for t, _, _ in window)
+        uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
+        if uniform and None not in terms:
+            residuals = analysis.energy_residuals(window, params, terms=terms)
+            records[-2].residuals = residuals
+        del window[0], terms[0]
+    if len(window) == 2:
+        window[0] = (window[0][0], None, None)

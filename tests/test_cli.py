@@ -491,6 +491,57 @@ class TestNumericsValidation:
         assert not (tmp_path / "out").exists()
 
 
+class TestNonFiniteConfigValues:
+    @pytest.mark.parametrize("key, value, literal", [
+        # min(NaN, output_every) is NaN, and halving a NaN step never took
+        # it below dt_min: the run did not end
+        ("time.dt_init", float("nan"), "NaN"),
+        # a run to t = Infinity writes outputs until memory runs out
+        ("time.t_end", float("inf"), "Infinity"),
+    ])
+    def test_exits_1_without_hanging(self, tmp_path, key, value, literal):
+        # a subprocess with a timeout keeps a regression from hanging the suite
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, key: value})
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hotspotsim.cli", "simulate", str(cfg)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"simulate with {key} {literal} did not end within 60 s")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert literal in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    # in this process, so none of the keys whose non-finite values could
+    # hang a run if the check regressed (t_end, dt_init, dt_min); the test
+    # above runs two of them in a subprocess
+    @pytest.mark.parametrize("value, literal", [
+        (float("nan"), "NaN"), (float("inf"), "Infinity"), (-float("inf"), "-Infinity"),
+    ])
+    @pytest.mark.parametrize("key", [
+        "model.eta", "grid.L", "time.output_every", "ic.amplitude", "numerics.cfl",
+    ])
+    def test_non_finite_literal_is_a_config_error(
+        self, tmp_path, capsys, key, value, literal
+    ):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{key: value})
+        assert literal in cfg.read_text()
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        assert literal in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedFieldFile:
     GOOD_ROW = " ".join(["1.0"] * 32) + "\n"
 
@@ -514,6 +565,23 @@ class TestMalformedFieldFile:
         assert err.startswith("error:")
         assert str(bad) in err
         assert part in err
+
+
+    def test_byte_that_is_not_utf8_names_the_file_and_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad_A.field"
+        write_field(bad, ScalarField(GridSpec(1.0, 32), np.ones((32, 32))))
+        lines = bad.read_bytes().split(b"\n")
+        lines[6] = lines[6][:4] + b"\xff" + lines[6][4:]  # row 6, after the header
+        bad.write_bytes(b"\n".join(lines))
+        good = tmp_path / "good_N.field"
+        write_field(good, ScalarField(GridSpec(1.0, 32), np.ones((32, 32))))
+        cfg = tmp_path / "run.json"
+        write_config(cfg, ic={"recipe": "file", "path_A": str(bad), "path_N": str(good)})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot build the initial condition: {bad}: row 6: "
+            "byte 0xff is not UTF-8"
+        ]
 
 
 class TestNegativeDensityAtAnOutput:
@@ -546,6 +614,33 @@ class TestNegativeDensityAtAnOutput:
         assert doc["outcome"] == "failed"
         assert doc["reason"].startswith("entropy integrand undefined")
         assert (out / "diagnostics.csv").read_text().count("\n") >= 2
+
+
+@pytest.mark.parametrize("snapshots", [True, False])
+def test_simulate_calls_each_phase_once_through_its_module(
+    tmp_path, capsys, monkeypatch, snapshots
+):
+    """The benchmark times a simulate's phases by wrapping these four module
+    attributes (perfbench/child.py), so each must be called once, through
+    the module: a change to the run loop that bypasses one fails here."""
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((cli, "load_config"), (solver, "build_initial"),
+                        (solver, "run"), (cli, "_emit_outputs")):
+        counted(owner, name)
+    cfg = tmp_path / "run.json"
+    write_config(cfg, **{"grid.n": 16, "outputs.snapshots": snapshots})
+    assert cli.main(["simulate", str(cfg)]) == 0
+    assert calls == ["load_config", "run", "build_initial", "_emit_outputs"]
 
 
 def test_one_exception_root():

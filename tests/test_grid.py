@@ -383,6 +383,25 @@ class TestFieldIO:
         assert time.perf_counter() - start < 1.0
         assert str(info.value) == f"{path}: row 1 has 3 values, expected 20000000"
 
+    @pytest.mark.parametrize("n", [32, 128])  # row by row, and through orjson
+    def test_byte_that_is_not_utf8_names_the_file_and_row(self, tmp_path, n):
+        path = tmp_path / "u.field"
+        write_field(path, rand_field(GridSpec(L=1.0, n=n)))
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = lines[6][:4] + b"\xff" + lines[6][4:]  # row 6, after the header
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_field(path)
+        assert str(info.value) == f"{path}: row 6: byte 0xff is not UTF-8"
+
+    def test_undecodable_lines_after_the_rows_are_ignored(self, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=8))
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        with open(path, "ab") as fh:
+            fh.write(b"trailing \xff\xfe bytes\n")
+        np.testing.assert_array_equal(read_field(path).values, u.values)
+
 
 def repr_field_bytes(u: ScalarField) -> bytes:
     """The reference .field writer: every value through repr."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,12 @@ class TestConfigValidation:
     def test_nonpositive_numerics_rejected_at_the_config(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["t_end", "dt_init", "dt_min", "output_every"])
+    def test_nan_times_rejected(self, field):
+        # a NaN dt_init made the guard-driven halving loop of run() endless
+        with pytest.raises(ValueError):
+            small_config(**{field: math.nan})
 
 
 class TestBuildInitial:
@@ -239,6 +246,13 @@ class TestAdaptDt:
         assert dt == pytest.approx(5e-4)
 
 
+def _bits(res):
+    """EnergyResiduals by the bits of r1..r4, so -0.0 and NaN compare too."""
+    if res is None:
+        return None
+    return np.array([res.r1, res.r2, res.r3, res.r4]).tobytes(), res.id3_sign_ok
+
+
 class TestRun:
     def test_completed_with_output_cadence(self):
         cfg = small_config()
@@ -292,12 +306,12 @@ class TestRun:
             (t0, _, _), (t1, _, _), (t2, _, _) = snaps[i - 1 : i + 2]
             uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
             expected.append(
-                analysis.energy_residuals(snaps[i - 1 : i + 2], PARAMS)
+                _bits(analysis.energy_residuals(snaps[i - 1 : i + 2], PARAMS))
                 if uniform
                 else None
             )
         expected.append(None)
-        assert [rec.residuals for rec in result.records] == expected
+        assert [_bits(rec.residuals) for rec in result.records] == expected
         assert expected.count(None) == (2 if t_end == 0.05 else 3)
 
     def test_monitor_flags_present_for_main_model(self):
@@ -363,6 +377,57 @@ class TestRun:
             assert rec.mass_N == pytest.approx(first.mass_N, abs=1e-12)
             assert rec.grad_A_l2sq == pytest.approx(first.grad_A_l2sq, abs=1e-12)
             assert rec.phi == pytest.approx(first.phi, abs=1e-12)
+
+
+class TestOutputWindow:
+    """run() fills each output's energy residuals when the next output
+    arrives, and holds the fields of at most one earlier output."""
+
+    @staticmethod
+    def peak_bytes(cfg):
+        run(cfg, keep_snapshots=False)  # the grid's workspace, built once
+        tracemalloc.start()
+        try:
+            result = run(cfg, keep_snapshots=False)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_flat_in_the_number_of_outputs(self):
+        n = 64
+        configs = [
+            small_config(grid=GridSpec(L=1.0, n=n), t_end=0.02,
+                         output_every=0.02 / outputs, dt_max=5e-4)
+            for outputs in (4, 20)
+        ]
+        (few, r_few), (many, r_many) = map(self.peak_bytes, configs)
+        assert (len(r_few.records), len(r_many.records)) == (5, 21)
+        assert sum(rec.residuals is not None for rec in r_many.records) == 19
+        pair = 2 * n * n * 8  # one output's (A, N)
+        assert abs(many - few) < pair
+
+    def test_snapshots_are_kept_by_default_only(self):
+        cfg = small_config()
+        kept = run(cfg)
+        assert [t for t, _, _ in kept.snapshots] == [rec.t for rec in kept.records]
+        assert len(kept.snapshots) == 6
+        dropped = run(cfg, keep_snapshots=False)
+        assert dropped.snapshots == []
+        assert [rec.csv_row() for rec in dropped.records] == [
+            rec.csv_row() for rec in kept.records
+        ]
+        assert [_bits(rec.residuals) for rec in dropped.records] == [
+            _bits(rec.residuals) for rec in kept.records
+        ]
+
+    def test_no_residuals_where_N_reaches_zero(self):
+        # N = 0 at t = 0: the first window lacks N > 0 and is skipped
+        cfg = small_config(ic=InitialCondition("constants", a0=0.8, n0=0.0))
+        result = run(cfg)
+        assert result.records[0].minN == 0.0
+        assert result.records[1].residuals is None
+        assert all(rec.minN > 0 for rec in result.records[1:])
+        assert all(rec.residuals is not None for rec in result.records[2:-1])
 
 
 class TestDecoupledLimit:
