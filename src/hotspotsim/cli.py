@@ -73,16 +73,54 @@ def _integer(name: str, value, n: int | None = None) -> int:
     return value
 
 
+def _number(name: str, doc: dict) -> float | None:
+    """The config value `name` ("section.key") in its section `doc`: a JSON
+    number, as a float; None when the key is absent."""
+    key = name.partition(".")[2]
+    value = doc.get(key)
+    if key in doc and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"{name} must be a JSON number, got {value!r}")
+    return None if value is None else float(value)
+
+
+def _string(name: str, doc: dict, default: str | None = None) -> str | None:
+    """The config value `name` ("section.key") in its section `doc`: a JSON
+    string; `default` when the key is absent."""
+    key = name.partition(".")[2]
+    if key in doc and not isinstance(doc[key], str):
+        raise ConfigError(f"{name} must be a JSON string, got {doc[key]!r}")
+    return doc.get(key, default)
+
+
 def _non_finite(literal: str):
-    raise ConfigError(f"config holds {literal}, which is not a finite number")
+    shown = literal if len(literal) < 25 else literal[:20] + "..."
+    raise ConfigError(f"config holds {shown}, which is not a finite number")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _non_finite(literal)
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    _finite_float(literal)  # an integer past a double's range reads as inf
+    return int(literal)
 
 
 def load_config(path) -> tuple[solver.SimConfig, dict]:
     """Parse and validate the JSON run configuration; returns the SimConfig
     and the output options (dir, snapshots, diagnostics).  The literals
-    NaN, Infinity and -Infinity, which json accepts, are rejected."""
+    NaN, Infinity and -Infinity, which json accepts, and numbers that no
+    double holds (1e400, a 400-digit integer) are rejected."""
     try:
-        doc = json.loads(Path(path).read_text(), parse_constant=_non_finite)
+        doc = json.loads(
+            Path(path).read_text(),
+            parse_constant=_non_finite,
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+        )
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
@@ -125,13 +163,13 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
         ic_doc = doc.get("ic", {"recipe": "perturbed_steady", "amplitude": 0.0})
         ic = solver.InitialCondition(
             recipe=ic_doc.get("recipe", "perturbed_steady"),
-            a0=ic_doc.get("a0"),
-            n0=ic_doc.get("n0"),
-            amplitude=ic_doc.get("amplitude"),
+            a0=_number("ic.a0", ic_doc),
+            n0=_number("ic.n0", ic_doc),
+            amplitude=_number("ic.amplitude", ic_doc),
             mode_j=_integer("ic.mode_j", ic_doc.get("mode_j", 1), grid.n),
             mode_k=_integer("ic.mode_k", ic_doc.get("mode_k", 1), grid.n),
-            path_A=ic_doc.get("path_A"),
-            path_N=ic_doc.get("path_N"),
+            path_A=_string("ic.path_A", ic_doc),
+            path_N=_string("ic.path_N", ic_doc),
         )
         num = doc.get("numerics", {})
         config = solver.SimConfig(
@@ -159,7 +197,7 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
                 f"outputs.{switch} must be true or false, got {out[switch]!r}"
             )
     out_opts = {
-        "dir": os.environ.get("HOTSPOT_OUT", out.get("dir", "out")),
+        "dir": os.environ.get("HOTSPOT_OUT", _string("outputs.dir", out, "out")),
         "snapshots": out.get("snapshots", True),
         "diagnostics": out.get("diagnostics", True),
     }

@@ -11,6 +11,7 @@ failure."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -90,6 +91,8 @@ class SimConfig:
         # written so that NaN fails every test
         if not (self.t_end > 0 and self.dt_init > 0 and self.dt_min > 0):
             raise ValueError("t_end, dt_init, dt_min must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.dt_min > self.dt_init:
             raise ValueError("dt_min must not exceed dt_init")
         if not self.output_every >= self.dt_min:

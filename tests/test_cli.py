@@ -261,6 +261,55 @@ class TestSimulateInputErrors:
         assert len(calls) == 1  # run() builds the initial condition
 
 
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("value", ["x", "1", {}, [], True],
+                             ids=["string", "numeric-string", "object", "list", "bool"])
+    @pytest.mark.parametrize("key, ic", [
+        ("amplitude", {"recipe": "perturbed_steady"}),
+        ("a0", {"recipe": "constants", "a0": 0.8, "n0": 1.5}),
+        ("n0", {"recipe": "constants", "a0": 0.8, "n0": 1.5}),
+    ])
+    def test_non_number_ic_value_rejected(self, tmp_path, capsys, key, ic, value):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, ic={**ic, key: value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        assert f"ic.{key}" in err
+        assert not (tmp_path / "out").exists()
+
+    # no small integer or boolean for the IC paths: open(n) would read, and
+    # then close, this process's file descriptor n
+    @pytest.mark.parametrize("key, value", [
+        *[(key, value)
+          for key in ("outputs.dir", "ic.path_A", "ic.path_N")
+          for value in (10 ** 6, 1.5, [], {})],
+        ("outputs.dir", 5), ("outputs.dir", True), ("outputs.dir", None),
+    ])
+    def test_non_string_path_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.delenv("HOTSPOT_OUT", raising=False)
+        cfg = tmp_path / "run.json"
+        field = tmp_path / "u.field"
+        write_field(field, ScalarField(GridSpec(1.0, 32), np.ones((32, 32))))
+        ic = {"recipe": "file", "path_A": str(field), "path_N": str(field)}
+        write_config(cfg, ic=ic, **{key: value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_number_and_string_values_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HOTSPOT_OUT", raising=False)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"ic.amplitude": 0, "outputs.dir": "elsewhere"})
+        config, out_opts = cli.load_config(cfg)
+        assert config.ic.amplitude == 0.0
+        assert out_opts["dir"] == "elsewhere"
+
+
 class TestInitialConditionModes:
     @pytest.mark.parametrize("key", ["mode_j", "mode_k"])
     @pytest.mark.parametrize("value", [16, 17, -3, 1.7, 2.0, "2", True, None],
@@ -518,6 +567,54 @@ class TestNonFiniteConfigValues:
         assert lines[0].startswith("error:")
         assert literal in lines[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "9" * 401, "9" * 5000],
+                             ids=["1e400", "401-digit", "5000-digit"])
+    def test_number_no_double_holds_exits_1_without_hanging(self, tmp_path, literal):
+        # json read 1e400 as inf, and a run to t = inf did not end; a
+        # 401-digit integer overflowed float(), a 5000-digit one int()
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "time.t_end": "T_END"})
+        cfg.write_text(cfg.read_text().replace('"T_END"', literal))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hotspotsim.cli", "simulate", str(cfg)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"simulate with t_end {literal[:10]} did not end within 60 s")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not a finite number" in lines[0]
+        assert len(lines[0]) < 200
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["-1e400", "1.5e309", "-" + "9" * 401])
+    @pytest.mark.parametrize("key", ["model.psi", "grid.L", "ic.amplitude"])
+    def test_number_no_double_holds_is_a_config_error(
+        self, tmp_path, capsys, key, literal
+    ):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{key: "VALUE"})
+        cfg.write_text(cfg.read_text().replace('"VALUE"', literal))
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        assert "not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integers_a_double_holds_are_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"model.omega": 84, "ic.amplitude": "VALUE"})
+        cfg.write_text(cfg.read_text().replace('"VALUE"', str(10 ** 300)))
+        config, _ = cli.load_config(cfg)
+        assert config.params.omega == 84.0
+        assert config.ic.amplitude == float(10 ** 300)
 
     # in this process, so none of the keys whose non-finite values could
     # hang a run if the check regressed (t_end, dt_init, dt_min); the test

@@ -522,6 +522,55 @@ class TestFieldBytes:
         write_field(path, u)
         assert path.read_bytes() == repr_field_bytes(u)
 
+    @pytest.mark.parametrize("where", ["first-and-last", "every"])
+    def test_rows_printed_by_repr(self, where, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=8), seed=7)
+        if where == "every":
+            u.values[0, :] = 1e-5  # the first value of every row
+        else:
+            u.values[3, 0] = -1e-7  # one exponent token in the first row
+            u.values[:, 7] = 1e20  # the last row: exponent tokens only
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == repr_field_bytes(u)
+
+    @pytest.mark.parametrize("repr_row", [False, True], ids=["positional", "with-repr-row"])
+    def test_signed_zeros(self, repr_row, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=8), seed=8)
+        u.values[:, 0] = -0.0
+        u.values[:, 3] = 0.0
+        u.values[::2, 5] = -0.0
+        u.values[1::2, 5] = 0.0
+        u.values[7, 6] = -0.0
+        if repr_row:
+            u.values[4, 5] = 5e-324  # row 5 then goes through repr
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == repr_field_bytes(u)
+
+    def test_positional_field_of_n_256(self, tmp_path):
+        rng = np.random.default_rng(9)
+        u = ScalarField(GridSpec(L=1.0, n=256), positional_mix(rng, 256 * 256).reshape(256, 256))
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == repr_field_bytes(u)
+
+    def test_positional_rows_never_reach_repr(self, monkeypatch, tmp_path):
+        u = rand_field(GridSpec(L=1.0, n=16), seed=10)
+        u.values[:, 4] = 0.0
+        u.values[2, :] = 1e-4  # the smallest value orjson prints as repr does
+        u.values[5, :] = -9999999999999998.0  # and the largest below 1e16
+        expected = repr_field_bytes(u)
+        grid_module._numpy_dumps()  # its known-answer check calls _repr_line
+
+        def no_repr(row):
+            raise AssertionError("a positional row was formatted by repr")
+
+        monkeypatch.setattr(grid_module, "_repr_line", no_repr)
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        assert path.read_bytes() == expected
+
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_values_replaced_by_another_dtype(self, dtype, tmp_path):
         u = rand_field(GridSpec(L=1.0, n=8), seed=5)

@@ -96,6 +96,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(**{field: math.nan})
 
+    def test_infinite_t_end_rejected(self):
+        # a run to t = inf never ends
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            small_config(t_end=math.inf)
+
 
 class TestBuildInitial:
     def test_constants(self):
