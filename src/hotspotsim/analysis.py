@@ -323,19 +323,25 @@ class SnapshotTerms:
 
 
 def _grad_dot(G, F) -> float:
-    """int grad(u) . F dx over interior faces, from G = grad(u)."""
+    """int grad(u) . F dx over interior faces, from G = grad(u); the x-face
+    sum is taken before the y-face product is built."""
     h2 = G.grid.h ** 2
-    return float((np.sum(G.fx * F.fx) + np.sum(G.fy * F.fy)) * h2)
+    x = np.sum(G.fx * F.fx)
+    return float((x + np.sum(G.fy * F.fy)) * h2)
 
 
-def _weighted_grad_dot(w_means, G, F) -> float:
-    """int w grad(u) . F dx from the face means of w and G = grad(u)."""
-    wfx, wfy = w_means
+def _weighted_grad_dot(w: np.ndarray, G, F) -> float:
+    """int w grad(u) . F dx from the values w and G = grad(u); each face
+    family's means of w are built, used in place and dropped in turn."""
     h2 = G.grid.h ** 2
-    return float(
-        (np.sum(wfx * G.fx[1:-1, :] * F.fx[1:-1, :])
-         + np.sum(wfy * G.fy[:, 1:-1] * F.fy[:, 1:-1])) * h2
-    )
+    x = g._face_mean_x(w)
+    x *= G.fx[1:-1, :]
+    x *= F.fx[1:-1, :]
+    x = np.sum(x)
+    y = g._face_mean_y(w)
+    y *= G.fy[:, 1:-1]
+    y *= F.fy[:, 1:-1]
+    return float((x + np.sum(y)) * h2)
 
 
 def energy_residuals(
@@ -387,28 +393,22 @@ def energy_residuals(
     del lap_a
 
     id3_rhs = omega * float(np.sum(np.log(n) - n + 1.0)) * area_w
-    # the gradient of N1 serves ||grad N1||_2^2, both dot products and, with
-    # the face means of N1, the fisher term; N1 > 0 was checked above
+    # the gradient of N1 serves ||grad N1||_2^2, the fisher term and both
+    # dot products; N1 > 0 was checked above
     grad_n = g.gradient(N1)
     grad_n_l2sq = float(np.sum(g._grad_sq_cells(grad_n))) * area_w
+    fisher_n = g._fisher(grad_n, n)
     theta_grad = sensitivity_grad(A1, chi, sensitivity_floor(A1))
     theta_dot = _grad_dot(grad_n, theta_grad)
-    n_means = g._face_means(N1)
     d_ent = (s2.entropy - s0.entropy) / two_d
-    r3 = abs(
-        d_ent
-        + omega * s1.entropy
-        + g._fisher(grad_n, n_means)
-        - theta_dot
-        - id3_rhs
-    )
+    r3 = abs(d_ent + omega * s1.entropy + fisher_n - theta_dot - id3_rhs)
 
     d_n2 = (s2.N_l2sq - s0.N_l2sq) / two_d
     r4 = abs(
         0.5 * d_n2
         + omega * s1.N_l2sq
         + grad_n_l2sq
-        - _weighted_grad_dot(n_means, grad_n, theta_grad)
+        - _weighted_grad_dot(n, grad_n, theta_grad)
         - omega * g.integral(N1)
     )
 

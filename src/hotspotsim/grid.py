@@ -184,7 +184,7 @@ class ScalarField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
 
     def copy(self) -> "ScalarField":
@@ -219,31 +219,92 @@ class VectorField:
         return float(max(fx.max(), -fx.min(), fy.max(), -fy.min()))
 
 
+class _Faces:
+    """A face field in the workspace layout: fx on x-normal faces (n+1, n),
+    as in VectorField, and the y-normal faces flat in an (n, n) fy, where
+    fy[i, j] is the face between cells (i, j) and (i, j+1) and the last
+    column is the zero boundary face at y = L.  Read in C order, fy pairs
+    each cell with the next one (_y_pairs), so a y-direction mean,
+    difference or product over all faces is one contiguous call over the
+    flattened cells into _y_faces(fy); close() then sets back to zero the
+    faces where that order wraps to the next row.  fy follows one zero,
+    the boundary face at y = 0 of cell (0, 0), so fy_prev, the face before
+    each in C order, is the zero boundary face of the row before at j = 0.
+    The arrays are workspace buffers (see _Workspace)."""
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n
+        self.grid = grid
+        # both families in one buffer, so max_abs takes two reductions
+        self._all = np.zeros((n + 1) * n + n * n + 1)
+        self.fx = self._all[: (n + 1) * n].reshape(n + 1, n)
+        flat = self._all[(n + 1) * n :]
+        self.fy, self.fy_prev = flat[1:].reshape(n, n), flat[:-1].reshape(n, n)
+
+    def close(self) -> None:
+        """Zero the faces where the flat order wraps to the next row."""
+        self.fy[:, -1] = 0.0
+
+    def max_abs(self) -> float:
+        """As VectorField.max_abs; the zero faces are fewer, the value the same."""
+        return float(max(self._all.max(), -self._all.min()))
+
+    def divergence(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The cell divergence into `out`, as divergence() computes it, with
+        the y differences in `scratch`."""
+        np.subtract(self.fx[1:, :], self.fx[:-1, :], out=out)
+        out += np.subtract(self.fy, self.fy_prev, out=scratch)
+        out /= self.grid.h
+        return out
+
+    def vector_field(self) -> VectorField:
+        """A VectorField of these faces, with arrays of its own."""
+        n = self.grid.n
+        fy = np.zeros((n, n + 1))
+        fy[:, 1:-1] = self.fy[:, :-1]
+        return VectorField(self.grid, self.fx.copy(), fy)
+
+    def assign(self, F: VectorField) -> "_Faces":
+        """Copy the VectorField F into these faces."""
+        np.copyto(self.fx, F.fx)
+        self.fy[:, :-1] = F.fy[:, 1:-1]
+        return self
+
+
+def _y_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells after and before each flat y face (see _Faces) of the n x n
+    cells v, as views of its flattened cells; a copy if v is not C-ordered."""
+    flat = v.reshape(-1)
+    return flat[1:], flat[:-1]
+
+
+def _y_faces(buf: np.ndarray) -> np.ndarray:
+    """The flat y faces of the C-contiguous n x n buffer `buf` that one
+    call over _y_pairs writes: all but the last."""
+    return buf.reshape(-1)[:-1]
+
+
 class _Workspace:
     """Per-grid arrays of the hot path: the cosine eigenvalue sum of the
-    Helmholtz symbol and scratch buffers.  Each call on the grid overwrites
-    the buffers, so no field handed to a caller may alias one, and two
-    threads must not work on one grid at the same time."""
+    Helmholtz symbol and scratch buffers, each reused by the stages of a
+    step in turn.  Each call on the grid overwrites the buffers, so no
+    field handed to a caller may alias one, and two threads must not work
+    on one grid at the same time."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n
         s = (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
         self.eig_sum = s[:, None] + s[None, :]
-        # face buffers: only interior faces are ever written, so the
-        # boundary-normal ones stay zero (no-flux)
-        self.fx = np.zeros((n + 1, n))
-        self.fy = np.zeros((n, n + 1))
-        # the interior y faces, contiguous, for building a y flux
-        self.fy_interior = np.empty((n, n - 1))
-        # a solve's denominator, then its residual's neighbour sums
-        self.cell = np.empty((n, n))
-        # the residual of the last solve on this grid
-        self.residual = np.empty((n, n))
-        # the main model's explicit reaction rate of A
-        self.rA = np.empty((n, n))
-        # the explicit stages of a step, the right-hand sides of its solves
-        self.rhs_A = np.empty((n, n))
-        self.rhs_N = np.empty((n, n))
+        # the chemotactic velocity and the advective flux; only interior
+        # faces are ever left nonzero (no-flux)
+        self.velocity, self.flux = _Faces(grid), _Faces(grid)
+        # the right-hand sides of the two solves of a step, (A, N)
+        self.rhs = np.empty((2, n, n))
+        # the reaction rates, then the solves' denominators, then their
+        # residuals' neighbour sums
+        self.cell = np.empty((2, n, n))
+        # y-direction scratch, then the residuals of the last solves
+        self.residual = np.empty((2, n, n))
 
 
 @functools.lru_cache(maxsize=4)
@@ -254,7 +315,7 @@ def _workspace(grid: GridSpec) -> _Workspace:
 def _same_grid(*fields) -> GridSpec:
     g = fields[0].grid
     for f in fields[1:]:
-        if f.grid != g:
+        if f.grid is not g and f.grid != g:
             raise GridMismatch("operands live on different grids")
     return g
 
@@ -275,16 +336,11 @@ def gradient(u: ScalarField) -> VectorField:
     return VectorField(g, fx, fy)
 
 
-def _divergence(fx: np.ndarray, fy: np.ndarray, h: float, out=None) -> np.ndarray:
-    """Cell divergence of the face arrays fx and fy, into `out` when given."""
-    vals = np.subtract(fx[1:, :], fx[:-1, :], out=out)
-    vals += fy[:, 1:] - fy[:, :-1]
-    vals /= h
-    return vals
-
-
 def divergence(F: VectorField) -> ScalarField:
-    return ScalarField(F.grid, _divergence(F.fx, F.fy, F.grid.h))
+    vals = np.subtract(F.fx[1:, :], F.fx[:-1, :])
+    vals += F.fy[:, 1:] - F.fy[:, :-1]
+    vals /= F.grid.h
+    return ScalarField(F.grid, vals)
 
 
 def laplacian(u: ScalarField) -> ScalarField:
@@ -317,26 +373,38 @@ def osc(u: ScalarField) -> float:
     return float(np.max(u.values) - np.min(u.values))
 
 
-def _face_means(u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Arithmetic means of the two cells adjacent to each interior face."""
-    v = u.values
-    return 0.5 * (v[1:, :] + v[:-1, :]), 0.5 * (v[:, 1:] + v[:, :-1])
+def _face_mean_x(v: np.ndarray) -> np.ndarray:
+    """Arithmetic means of the two cells adjacent to each interior x face."""
+    mean = np.add(v[1:, :], v[:-1, :])
+    mean *= 0.5
+    return mean
+
+
+def _face_mean_y(v: np.ndarray) -> np.ndarray:
+    """Arithmetic means of the two cells adjacent to each interior y face."""
+    mean = np.add(v[:, 1:], v[:, :-1])
+    mean *= 0.5
+    return mean
 
 
 def fisher(u: ScalarField) -> float:
     """int |grad u|^2 / u with u evaluated at faces by arithmetic mean."""
     if np.min(u.values) <= 0.0:
         raise NonPositiveField("fisher functional requires u > 0 everywhere")
-    return _fisher(gradient(u), _face_means(u))
+    return _fisher(gradient(u), u.values)
 
 
-def _fisher(F: VectorField, means: tuple[np.ndarray, np.ndarray]) -> float:
-    """The fisher functional from the gradient of u and its face means."""
-    ufx, ufy = means
+def _fisher(F: VectorField, v: np.ndarray) -> float:
+    """The fisher functional from the gradient F of u and the values v of
+    u.  The x-face sum is taken, and its temporaries dropped, before the
+    y-face means are built."""
     h2 = F.grid.h ** 2
-    return float(
-        (np.sum(F.fx[1:-1, :] ** 2 / ufx) + np.sum(F.fy[:, 1:-1] ** 2 / ufy)) * h2
-    )
+    x = F.fx[1:-1, :] ** 2
+    x /= _face_mean_x(v)
+    x = np.sum(x)
+    y = F.fy[:, 1:-1] ** 2
+    y /= _face_mean_y(v)
+    return float((x + np.sum(y)) * h2)
 
 
 def _grad_sq_cells(F: VectorField) -> np.ndarray:
@@ -374,35 +442,64 @@ def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> Scalar
     residual.  The returned field owns its values."""
     if d < 0 or lam < 0 or dt <= 0:
         raise ValueError("need d >= 0, lam >= 0, dt > 0")
-    return ScalarField(rhs.grid, _helmholtz(rhs.grid, rhs.values, d, lam, dt))
+    return ScalarField(rhs.grid, _helmholtz(rhs.grid, rhs.values[None], (d,), (lam,), dt)[0])
 
 
-def _helmholtz(g: GridSpec, rhs: np.ndarray, d: float, lam: float, dt: float) -> np.ndarray:
-    """helmholtz_solve on arrays, for d >= 0, lam >= 0 and dt > 0, with the
-    same residual check; the result is a new array."""
-    c = 1.0 + dt * lam
+def _helmholtz(g: GridSpec, rhs: np.ndarray, ds, lams, dt: float) -> np.ndarray:
+    """helmholtz_solve on a (k, n, n) stack of right-hand sides, slice s with
+    d = ds[s] and lam = lams[s], for k <= 2, d >= 0, lam >= 0 and dt > 0,
+    with the same residual check on each slice.  The result is a new
+    (k, n, n) array.  Each slice's arithmetic is that of a solve on its
+    own; the operations without a per-slice scalar run once on the stack."""
+    k = len(ds)
     ws = _workspace(g)
-    denom = np.multiply(ws.eig_sum, dt * d, out=ws.cell)
-    denom += c
-    uh = _fft.dctn(rhs, type=2, norm="ortho")
-    uh /= denom
-    u = _fft.idctn(uh, type=2, norm="ortho", overwrite_x=True)
+    denom, u = ws.cell[:k], np.empty((k, g.n, g.n))
+    np.copyto(u, rhs)
+    for v, den, d, lam in zip(u, denom, ds, lams):
+        np.multiply(ws.eig_sum, dt * d, out=den)
+        den += 1.0 + dt * lam
+        _in_place(_fft.dctn, v)
+    u /= denom
+    for v in u:
+        _in_place(_fft.idctn, v)
 
     # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs, as one
     # five-point stencil: (c + 4k) u - k (sum of the four neighbours) - rhs
-    # with k = dt*d/h^2, a neighbour across the boundary being the mirror
-    # ghost, that is the cell itself
-    k = dt * d / g.h ** 2
-    nb = _neighbour_sum(u, ws.cell, ws.residual)
-    nb *= k
-    applied = np.multiply(u, c + 4.0 * k, out=ws.residual)
+    # with c = 1 + dt*lam and k = dt*d/h^2, a neighbour across the boundary
+    # being the mirror ghost, that is the cell itself
+    nb = _neighbour_sum(u, ws.cell[:k], ws.residual[:k])
+    applied = ws.residual[:k]
+    for v, nb_s, out, d, lam in zip(u, nb, applied, ds, lams):
+        kk = dt * d / g.h ** 2
+        nb_s *= kk
+        np.multiply(v, 1.0 + dt * lam + 4.0 * kk, out=out)
     applied -= nb
     applied -= rhs
-    scale = max(_norm(rhs), _TINY)
-    rel = _norm(applied) / scale
-    if rel > HELMHOLTZ_TOL:
-        raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
+    for r, a in zip(rhs, applied):
+        rel = _relative_residual(r, a)
+        if not rel <= HELMHOLTZ_TOL:  # NaN fails too
+            raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
     return u
+
+
+def _in_place(transform, v: np.ndarray) -> None:
+    """Apply the DCT `transform` to v and leave the result in v; pocketfft
+    transforms in place, a fallback may return a new array."""
+    result = transform(v, type=2, norm="ortho", overwrite_x=True)
+    if result is not v:
+        v[...] = result
+
+
+def _relative_residual(rhs: np.ndarray, applied: np.ndarray) -> float:
+    """||applied|| / ||rhs||, floored below by _TINY.  When either norm
+    overflows, both are taken again on the arrays divided by max|rhs|, so
+    the ratio is that of finite numbers, or NaN or inf when applied is not
+    finite."""
+    num, den = _norm(applied), _norm(rhs)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        top = max(float(np.max(np.abs(rhs))), _TINY)
+        num, den = _norm(applied / top), _norm(rhs / top)
+    return num / max(den, _TINY)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -412,16 +509,20 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _neighbour_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sum of the four neighbours of every cell into `out`, with mirror
-    ghost cells: the neighbour across the boundary is the cell itself.
-    The y sums go through `scratch`: writing them straight into `out`
-    would be in-place arithmetic on strided views, which is slower."""
-    np.add(v[:-2, :], v[2:, :], out=out[1:-1, :])
-    np.add(v[0, :], v[1, :], out=out[0, :])
-    np.add(v[-2, :], v[-1, :], out=out[-1, :])
-    np.add(v[:, :-2], v[:, 2:], out=scratch[:, 1:-1])
-    np.add(v[:, 0], v[:, 1], out=scratch[:, 0])
-    np.add(v[:, -2], v[:, -1], out=scratch[:, -1])
+    """Sum of the four neighbours of every cell of the C-contiguous stack v
+    into `out`, with mirror ghost cells: the neighbour across the boundary
+    is the cell itself.  The x sums and, through `scratch`, the y sums each
+    take one contiguous call over the flattened stack, which also pairs
+    cells across rows or slices on the boundaries; those cells are then
+    overwritten."""
+    n = v.shape[-1]
+    flat = v.reshape(-1)
+    np.add(flat[: -2 * n], flat[2 * n :], out=out.reshape(-1)[n:-n])
+    np.add(v[:, 0, :], v[:, 1, :], out=out[:, 0, :])
+    np.add(v[:, -2, :], v[:, -1, :], out=out[:, -1, :])
+    np.add(flat[:-2], flat[2:], out=scratch.reshape(-1)[1:-1])
+    np.add(v[:, :, 0], v[:, :, 1], out=scratch[:, :, 0])
+    np.add(v[:, :, -2], v[:, :, -1], out=scratch[:, :, -1])
     out += scratch
     return out
 

@@ -15,9 +15,11 @@ from .grid import (
     HotspotError,
     ScalarField,
     VectorField,
-    _face_means,
+    _Faces,
     _same_grid,
     _workspace,
+    _y_faces,
+    _y_pairs,
     gradient,
     lp_norm,
 )
@@ -60,12 +62,18 @@ class ModelKind:
 
     def reaction(self, grid: GridSpec, a: np.ndarray, n: np.ndarray):
         """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc.
-        The main model's rA is the grid's workspace buffer, which the next
-        call on that grid overwrites."""
+        The built-in models' rates are the grid's workspace buffers, which
+        the next call on that grid overwrites, or a read-only broadcast of
+        a constant."""
         raise NotImplementedError
 
     def velocity(self, A: ScalarField, a_floor: float) -> VectorField:
         return sensitivity_grad(A, self.chi, a_floor)
+
+    def _face_velocity(self, A: ScalarField, a_floor: float) -> _Faces:
+        """The velocity of A in the grid workspace's velocity faces, which
+        the next velocity built on that grid overwrites."""
+        return _sensitivity_faces(A, self.chi, a_floor)
 
     def steady_state(self) -> tuple[float, float]:
         raise ValueError("perturbed_steady is only defined for the built-in model kinds")
@@ -93,11 +101,12 @@ class ModelParams(ModelKind):
 
     def reaction(self, grid, a, n):
         # psi * n * a * (1.0 - a) + atilde, in that order
-        rA = np.multiply(self.psi, n, out=_workspace(grid).rA)
+        rA, one_minus_a = _workspace(grid).cell
+        np.multiply(self.psi, n, out=rA)
         rA *= a
-        rA *= 1.0 - a
+        rA *= np.subtract(1.0, a, out=one_minus_a)
         rA += self.atilde
-        return rA, np.full_like(n, self.omega), 1.0, self.omega
+        return rA, np.broadcast_to(self.omega, n.shape), 1.0, self.omega
 
     def steady_state(self):
         return steady_state(self)
@@ -123,7 +132,14 @@ class ShortParams(ModelKind):
             )
 
     def reaction(self, grid, a, n):
-        return n * a + self.a0, -n * a + self.abar - self.a0, 1.0, 0.0
+        # n * a + a0 and -n * a + abar - a0, in that order; rounding is
+        # symmetric in sign, so abar - n * a has the bits of -n * a + abar
+        rA, rN = _workspace(grid).cell
+        na = np.multiply(n, a, out=rN)
+        np.add(na, self.a0, out=rA)
+        np.subtract(self.abar, na, out=rN)
+        rN -= self.a0
+        return rA, rN, 1.0, 0.0
 
     def steady_state(self):
         return short_steady_state(self)
@@ -184,6 +200,9 @@ class GeneralModel(ModelKind):
         # generalized sensitivity: gradient of h(A) sampled at cells
         return gradient(plugin_field(A.grid, "h", self.h, A.values))
 
+    def _face_velocity(self, A, a_floor):
+        return _workspace(A.grid).velocity.assign(self.velocity(A, a_floor))
+
 
 def plugin_field(grid: GridSpec, name: str, fn: Callable, *args) -> ScalarField:
     """Call the plugin callable `name` and validate what it returned, where
@@ -209,31 +228,40 @@ def _eval_envelope(e: EnvelopeFn, a: np.ndarray) -> np.ndarray:
 
 def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
     """Face-centered chi * grad(A) / A with A averaged to faces."""
+    return _sensitivity_faces(A, chi, a_floor).vector_field()
+
+
+def _sensitivity_faces(A: ScalarField, chi: float, a_floor: float) -> _Faces:
+    """sensitivity_grad into the grid workspace's velocity faces: chi *
+    diff / h / face mean on each interior face, in place.  The y faces take
+    one contiguous call per operation over the flattened cells (see _Faces),
+    with the face means in the workspace's y scratch."""
     if a_floor <= 0:
         raise ValueError("a_floor must be positive")
-    if np.min(A.values) < a_floor:
-        raise FloorViolation(
-            f"A dropped to {np.min(A.values):.6g}, below floor {a_floor:.6g}"
-        )
     g = A.grid
     a = A.values
-    afx, afy = _face_means(A)
-    fx = np.zeros((g.n + 1, g.n))
-    fy = np.zeros((g.n, g.n + 1))
-    # chi * diff / h / face mean, evaluated in place on the interior faces;
-    # those of fy are strided, where in-place arithmetic is slower, so that
-    # axis is evaluated contiguously and copied in once
-    vx = fx[1:-1, :]
+    if a.min() < a_floor:
+        raise FloorViolation(f"A dropped to {a.min():.6g}, below floor {a_floor:.6g}")
+    ws = _workspace(g)
+    faces = ws.velocity
+    mean = ws.residual[0]
+    vx, afx = faces.fx[1:-1, :], mean[:-1, :]
+    np.add(a[1:, :], a[:-1, :], out=afx)
+    afx *= 0.5
     np.subtract(a[1:, :], a[:-1, :], out=vx)
     vx *= chi
     vx /= g.h
     vx /= afx
-    vy = np.subtract(a[:, 1:], a[:, :-1])
+    upper, lower = _y_pairs(a)
+    vy, afy = _y_faces(faces.fy), _y_faces(mean)
+    np.add(upper, lower, out=afy)
+    afy *= 0.5
+    np.subtract(upper, lower, out=vy)
     vy *= chi
     vy /= g.h
     vy /= afy
-    fy[:, 1:-1] = vy
-    return VectorField(g, fx, fy)
+    faces.close()
+    return faces
 
 
 def sensitivity_floor(A: ScalarField, bounds: DerivedBounds | None = None) -> float:
@@ -259,7 +287,8 @@ def steady_state(params: ModelParams) -> tuple[float, float]:
         a_star = (disc - b) / (2.0 * psi)
     residual = psi * a_star * (1.0 - a_star) + atilde - a_star
     scale = max(1.0, atilde, psi * a_star * a_star)
-    assert abs(residual) <= 1e-12 * scale, f"steady-state residual {residual:.3e}"
+    if not abs(residual) <= 1e-12 * scale:  # NaN fails too
+        raise ValueError(f"steady-state residual {residual:.3e} exceeds {1e-12 * scale:.3e}")
     return a_star, 1.0
 
 

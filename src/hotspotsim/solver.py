@@ -24,10 +24,12 @@ from .grid import (
     HotspotError,
     ScalarField,
     VectorField,
-    _divergence,
+    _Faces,
     _helmholtz,
     _same_grid,
     _workspace,
+    _y_faces,
+    _y_pairs,
     integral,
     read_field,
     cosine_mode,
@@ -174,29 +176,30 @@ def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
 # Single step
 # ---------------------------------------------------------------------------
 
-def _advective_flux(n: np.ndarray, v: VectorField, scheme: str, ws) -> None:
+def _advective_flux(n: np.ndarray, v: _Faces, scheme: str, flux: _Faces) -> None:
     """Face flux of the drift term, -N_face * v, with N at faces by
     arithmetic mean (centered) or by donor cell (upwind), written into the
-    workspace's face buffers.  The y flux is built in a contiguous buffer
-    and copied to its strided faces once: in-place arithmetic on the
-    strided view is slower."""
-    fx, fy = ws.fx[1:-1, :], ws.fy_interior
-    vx, vy = v.fx[1:-1, :], v.fy[:, 1:-1]
+    faces `flux`, in the layout of `v` (see _Faces)."""
+    fx, vx = flux.fx[1:-1, :], v.fx[1:-1, :]
+    fy, vy = _y_faces(flux.fy), _y_faces(v.fy)
+    upper, lower = _y_pairs(n)
     if scheme == "centered":
+        # -(0.5 * s) in one multiply: rounding is symmetric in sign, so
+        # s * -0.5 has the same bits
         np.add(n[1:, :], n[:-1, :], out=fx)
-        fx *= 0.5
-        np.add(n[:, 1:], n[:, :-1], out=fy)
-        fy *= 0.5
+        fx *= -0.5
+        np.add(upper, lower, out=fy)
+        fy *= -0.5
     else:
         np.copyto(fx, n[1:, :])
         np.copyto(fx, n[:-1, :], where=vx >= 0)
-        np.copyto(fy, n[:, 1:])
-        np.copyto(fy, n[:, :-1], where=vy >= 0)
-    np.negative(fx, out=fx)
+        np.negative(fx, out=fx)
+        np.copyto(fy, upper)
+        np.copyto(fy, lower, where=vy >= 0)
+        np.negative(fy, out=fy)
     fx *= vx
-    np.negative(fy, out=fy)
     fy *= vy
-    ws.fy[:, 1:-1] = fy
+    flux.close()
 
 
 def step(
@@ -204,13 +207,15 @@ def step(
     dt: float,
     config: SimConfig,
     bounds: Optional[DerivedBounds] = None,
-    velocity: Optional[VectorField] = None,
+    velocity: VectorField | _Faces | None = None,
 ) -> SimState:
     """One IMEX update: explicit chemotactic transport and nonlinear
     reaction, then implicit Helmholtz solves for diffusion and linear decay.
-    The update runs on arrays; only its result is built into fields.
-    `velocity` is the chemotactic face velocity of state.A; when None, the
-    step computes it with `sensitivity_floor(A, bounds)`."""
+    The update runs on the grid's workspace buffers; only its result is
+    built into fields, whose arrays are two slices of one new array.
+    `velocity` is the chemotactic face velocity of state.A, a VectorField
+    or the workspace faces that ModelKind._face_velocity fills; when None,
+    the step computes it with `sensitivity_floor(A, bounds)`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
@@ -218,34 +223,35 @@ def step(
     g = _same_grid(A, N)
     a, n = A.values, N.values
     # the reaction's preconditions; N may undershoot 0 by guard_tol
-    if np.min(a) <= 0:
+    if a.min() <= 0:
         raise NonPositiveA("attractiveness must be positive everywhere")
-    if np.min(n) < -config.guard_tol:
+    if n.min() < -config.guard_tol:
         raise NegativeN(f"criminal density fell below -{config.guard_tol}")
 
     rA, rN, lam_A, lam_N = params.reaction(g, a, n)
     if velocity is None:
-        velocity = params.velocity(A, sensitivity_floor(A, bounds))
+        velocity = params._face_velocity(A, sensitivity_floor(A, bounds))
     _same_grid(A, velocity)
     ws = _workspace(g)
-    _advective_flux(n, velocity, config.flux_scheme, ws)
+    if isinstance(velocity, VectorField):
+        velocity = ws.velocity.assign(velocity)
+    _advective_flux(n, velocity, config.flux_scheme, ws.flux)
 
-    # A + dt*rA and N + dt*(div(flux) + rN), in the workspace
-    a_exp = np.multiply(rA, dt, out=ws.rhs_A)
+    # A + dt*rA and N + dt*(div(flux) + rN), stacked in the workspace
+    rhs = ws.rhs
+    a_exp, n_exp = rhs
+    np.multiply(rA, dt, out=a_exp)
     a_exp += a
-    n_exp = _divergence(ws.fx, ws.fy, g.h, out=ws.rhs_N)
+    ws.flux.divergence(n_exp, ws.residual[0])
     n_exp += rN
     n_exp *= dt
     n_exp += n
-    if not (np.isfinite(a_exp).all() and np.isfinite(n_exp).all()):
+    if not np.isfinite(rhs).all():
         raise NonFinite("explicit stage produced non-finite values")
 
-    a_new = _helmholtz(g, a_exp, params.eta, lam_A, dt)
-    n_new = _helmholtz(g, n_exp, 1.0, lam_N, dt)
-    try:
-        A_new, N_new = ScalarField(g, a_new), ScalarField(g, n_new)
-    except ValueError as exc:  # the fields' own finiteness check
-        raise NonFinite("state contains non-finite values") from exc
+    # a solve that passes its residual check has a finite solution
+    u = _helmholtz(g, rhs, (params.eta, 1.0), (lam_A, lam_N), dt)
+    A_new, N_new = ScalarField(g, u[0]), ScalarField(g, u[1])
     _guard(A_new, N_new, config, bounds)
     return SimState(state.t + dt, A_new, N_new, state.step_count + 1)
 
@@ -255,22 +261,21 @@ def _guard(
 ) -> None:
     """The positivity guards; the fields are finite, as every ScalarField is."""
     tol = config.guard_tol
+    a_min, n_min = float(A.values.min()), float(N.values.min())
     if bounds is not None:
         span = bounds.a_max - bounds.a_min
         floor = bounds.a_min - tol * span
-        if float(np.min(A.values)) < floor:
+        if a_min < floor:
             raise PositivityBreach(
-                f"A reached {np.min(A.values):.6g}, below guarded floor {floor:.6g}"
+                f"A reached {a_min:.6g}, below guarded floor {floor:.6g}"
             )
-    elif float(np.min(A.values)) <= 0:
+    elif a_min <= 0:
         raise PositivityBreach("A lost positivity")
-    if float(np.min(N.values)) < -tol:
-        raise PositivityBreach(
-            f"N reached {np.min(N.values):.6g}, below -guard_tol = {-tol:.6g}"
-        )
+    if n_min < -tol:
+        raise PositivityBreach(f"N reached {n_min:.6g}, below -guard_tol = {-tol:.6g}")
 
 
-def adapt_dt(velocity: VectorField, config: SimConfig, dt_prev: float) -> float:
+def adapt_dt(velocity: VectorField | _Faces, config: SimConfig, dt_prev: float) -> float:
     """Grow the step by at most 10%, limited by the advective CFL condition
     on the chemotactic face velocity and by the output cadence."""
     vmax = velocity.max_abs()
@@ -319,6 +324,7 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     output()
     outcome = Outcome("completed", config.t_end)
     max_mass_res = 0.0
+    n_mass = n0_mass  # the integral of state.N
     dt = min(config.dt_init, config.output_every)
     out_idx = 1
     rejected = 0
@@ -326,9 +332,9 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     try:
         while state.t < config.t_end - _SNAP:
             t_next = min(out_idx * config.output_every, config.t_end)
-            # one velocity per accepted state sets the CFL step and drives every
-            # guard-driven retry; it is freed before the next one is built
-            velocity = params.velocity(state.A, a_floor)
+            # one velocity per accepted state, in the workspace's faces, sets the
+            # CFL step and drives every guard-driven retry
+            velocity = params._face_velocity(state.A, a_floor)
             dt = adapt_dt(velocity, config, dt)
             # clipping to the output boundary may shrink the step legitimately;
             # only guard-driven halving counts toward the dt_min floor
@@ -354,17 +360,18 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
                 break
 
             if bounds is not None:
+                new_mass = integral(new_state.N)
                 res = (
                     abs(
-                        (1.0 + params.omega * dt_try) * integral(new_state.N)
-                        - integral(state.N)
+                        (1.0 + params.omega * dt_try) * new_mass
+                        - n_mass
                         - dt_try * params.omega * area
                     )
                     / area
                 )
                 max_mass_res = max(max_mass_res, res)
+                n_mass = new_mass
             state = new_state
-            del velocity
             if halved:
                 dt = dt_try
             if state.t >= t_next - _SNAP:

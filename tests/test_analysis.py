@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,30 @@ class TestEnergyResiduals:
         got = (res.r1, res.r2, res.r3, res.r4, res.id3_sign_ok)
         assert got == _reference_energy_residuals(window, PARAMS)
         assert all(r > 0 for r in got[:4])  # the fields are far from a solution
+
+    def test_window_peak_memory(self):
+        # each face family's means and products are built and dropped in
+        # turn, so a window allocates about 6 n^2 fields beyond its inputs;
+        # with both families' face means alive together it took 8.5
+        n = 128
+        grid = GridSpec(L=1.0, n=n)
+        wave, _ = sample_cosine_field(3, 4, 0.05, grid)
+        window = [
+            (t, ScalarField(grid, 0.8 + (1 + t) * wave.values),
+             ScalarField(grid, 1.0 + (1 - t) * wave.values.T.copy()))
+            for t in (0.0, 0.1, 0.2)
+        ]
+        terms = [analysis.SnapshotTerms(A, N) for _, A, N in window]
+        want = energy_residuals(window, PARAMS, terms=terms)  # builds the workspace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = energy_residuals(window, PARAMS, terms=terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak - before < 7 * n * n * 8
 
     def steady_window(self, grid, dt=0.01):
         a_star, n_star = steady_state(PARAMS)

@@ -59,6 +59,27 @@ class TestSteady:
     def test_rejects_nonpositive(self, capsys):
         assert cli.main(["steady", "--psi", "-1", "--atilde", "0.7"]) == 1
 
+    @pytest.mark.parametrize("psi", ["1e308", "inf"])
+    def test_no_finite_fixed_point_is_one_error_line(self, capsys, psi):
+        assert cli.main(["steady", "--psi", psi, "--atilde", "0.7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: steady-state residual nan")
+        assert captured.err.count("\n") == 1
+
+    def test_no_finite_fixed_point_under_optimize(self):
+        # an assert would vanish under -O and print A* = nan with exit 0
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hotspotsim.cli", "steady",
+             "--psi", "1e308", "--atilde", "0.7"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: steady-state residual nan")
+
 
 class TestCheck:
     BASE = [
@@ -240,6 +261,18 @@ class TestSimulateInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "missing_A.field" in err
+
+    def test_perturbed_steady_without_a_finite_fixed_point_is_an_error(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"model.psi": 1e308})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: cannot build the initial condition: steady-state residual nan"
+        )
+        assert err.count("\n") == 1
 
     def test_amplitude_that_makes_A_nonpositive_is_an_error(
         self, tmp_path, capsys, monkeypatch

@@ -85,6 +85,12 @@ class TestSteadyState:
         res = psi * a_star * (1 - a_star) + atilde - a_star
         assert abs(res) <= 1e-10 * max(1.0, atilde)
 
+    @pytest.mark.parametrize("psi", [1e308, math.inf])
+    def test_no_finite_root_raises_value_error(self, psi):
+        params = ModelParams(eta=1.0, psi=psi, omega=1.0, atilde=0.7, chi=1.0)
+        with pytest.raises(ValueError, match="steady-state residual nan"):
+            steady_state(params)
+
     def test_short_variant(self):
         p = ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=1.0)
         abar, n_star = short_steady_state(p)
