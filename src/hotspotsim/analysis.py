@@ -220,8 +220,11 @@ def choose_c(chi: float, eta: float) -> Optional[float]:
     Returns None when no feasible c exists (equivalently chi > 1)."""
     if chi <= 0 or eta <= 0:
         raise ValueError("chi and eta must be positive")
-    c = (chi + 2.0 * eta - chi * eta) / (1.0 + eta) ** 2
-    q = (1.0 + eta) ** 2 * c * c - 2.0 * c * (chi + 2.0 * eta - chi * eta) + chi * chi
+    try:
+        c = (chi + 2.0 * eta - chi * eta) / (1.0 + eta) ** 2
+        q = (1.0 + eta) ** 2 * c * c - 2.0 * c * (chi + 2.0 * eta - chi * eta) + chi * chi
+    except OverflowError:
+        raise ValueError(f"(1 + eta)^2 overflows at eta={eta:g}") from None
     if q <= 1e-14 * max(1.0, chi * chi):
         return c
     return None

@@ -33,6 +33,13 @@ class ConfigError(HotspotError):
     pass
 
 
+def _positive_float(text: str) -> float:
+    """A flag value that is a finite float > 0 (argparse reports a ValueError)."""
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # exit 1 (not argparse's default 2) on bad flags
     def error(self, message):
@@ -55,6 +62,11 @@ _SECTIONS = {
 }
 
 
+_MAIN = (ModelParams, ("eta", "psi", "omega", "atilde"))
+_MODELS = {"main": _MAIN, "pitcher": _MAIN, "short": (ShortParams, ("eta", "a0", "abar"))}
+_REQUIRED = object()
+
+
 def _check_keys(section: str, doc: dict) -> None:
     unknown = set(doc) - _SECTIONS[section]
     if unknown:
@@ -74,11 +86,13 @@ def _integer(name: str, value, n: int | None = None) -> int:
     return value
 
 
-def _number(name: str, doc: dict) -> float | None:
+def _number(name: str, doc: dict, default=None) -> float | None:
     """The config value `name` ("section.key") in its section `doc`: a JSON
-    number, as a float; None when the key is absent."""
+    number (finite: see load_config), as a float; `default` when absent."""
     key = name.partition(".")[2]
-    value = doc.get(key)
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing required key {name}")
     if key in doc and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(f"{name} must be a JSON number, got {value!r}")
     return None if value is None else float(value)
@@ -137,30 +151,22 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
             raise ConfigError(f"section '{sec}' must be a JSON object")
         _check_keys(sec, body)
 
-    m = doc["model"]
+    m, t, num = doc["model"], doc["time"], doc.get("numerics", {})
     kind = m.get("kind", "main")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    model, keys = _MODELS[kind]
     try:
-        if kind in ("main", "pitcher"):
-            params = ModelParams(
-                eta=float(m["eta"]),
-                psi=float(m["psi"]),
-                omega=float(m["omega"]),
-                atilde=float(m["atilde"]),
-                chi=float(m.get("chi", 2.0)),
-            )
-        elif kind == "short":
-            params = ShortParams(
-                eta=float(m["eta"]),
-                a0=float(m["a0"]),
-                abar=float(m["abar"]),
-                chi=float(m.get("chi", 2.0)),
-            )
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        grid = GridSpec(
-            L=float(doc["grid"]["L"]), n=_integer("grid.n", doc["grid"]["n"])
+        params = model(
+            **{key: _number(f"model.{key}", m, _REQUIRED) for key in keys},
+            chi=_number("model.chi", m, 2.0),
         )
-        t = doc["time"]
+        if model is ModelParams:
+            analysis.choose_c(params.chi, params.eta)  # every output's record needs it
+        grid = GridSpec(
+            L=_number("grid.L", doc["grid"], _REQUIRED),
+            n=_integer("grid.n", doc["grid"]["n"]),
+        )
         ic_doc = doc.get("ic", {"recipe": "perturbed_steady", "amplitude": 0.0})
         ic = solver.InitialCondition(
             recipe=ic_doc.get("recipe", "perturbed_steady"),
@@ -172,19 +178,19 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
             path_A=_string("ic.path_A", ic_doc),
             path_N=_string("ic.path_N", ic_doc),
         )
-        num = doc.get("numerics", {})
+        t_end = _number("time.t_end", t, _REQUIRED)
         config = solver.SimConfig(
             grid=grid,
             params=params,
-            t_end=float(t["t_end"]),
-            dt_init=float(t.get("dt_init", 1e-3)),
-            dt_min=float(t.get("dt_min", 1e-9)),
-            dt_max=(None if t.get("dt_max") is None else float(t["dt_max"])),
-            output_every=float(t.get("output_every", float(t["t_end"]) / 10.0)),
+            t_end=t_end,
+            dt_init=_number("time.dt_init", t, 1e-3),
+            dt_min=_number("time.dt_min", t, 1e-9),
+            dt_max=None if t.get("dt_max") is None else _number("time.dt_max", t),
+            output_every=_number("time.output_every", t, t_end / 10.0),
             ic=ic,
-            cfl_advection=float(num.get("cfl", 0.5)),
+            cfl_advection=_number("numerics.cfl", num, 0.5),
             flux_scheme=num.get("flux_scheme", "centered"),
-            guard_tol=float(num.get("guard_tol", 1e-6)),
+            guard_tol=_number("numerics.guard_tol", num, 1e-6),
         )
     except ConfigError:
         raise
@@ -449,7 +455,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--samples", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--max-mode", type=int, default=4)
-    p_ver.add_argument("--amplitude", type=float, default=0.02)
+    p_ver.add_argument("--amplitude", type=_positive_float, default=0.02)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_std = sub.add_parser("steady", help="homogeneous steady state")

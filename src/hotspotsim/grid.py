@@ -89,23 +89,23 @@ def _load_pocketfft_dct(path: str):
 
 class _PocketDCT:
     """`dctn`/`idctn` with scipy.fft's keywords, for the orthonormal type-2
-    pair over all axes.  `dct(x, type, axes, inorm, out, nthreads,
-    orthogonalize)`: inorm=1 is "ortho", and out=x transforms in place."""
+    pair over `axes` (all by default).  `dct(x, type, axes, inorm, out,
+    nthreads, orthogonalize)`: inorm=1 is "ortho", out=x is in place."""
 
     def __init__(self, dct):
         self._dct = dct
 
-    def dctn(self, x, type=2, norm="ortho", overwrite_x=False):
-        return self._transform(x, 2, type, norm, overwrite_x)
+    def dctn(self, x, type=2, norm="ortho", overwrite_x=False, axes=None):
+        return self._transform(x, 2, type, norm, overwrite_x, axes)
 
-    def idctn(self, x, type=2, norm="ortho", overwrite_x=False):
-        return self._transform(x, 3, type, norm, overwrite_x)
+    def idctn(self, x, type=2, norm="ortho", overwrite_x=False, axes=None):
+        return self._transform(x, 3, type, norm, overwrite_x, axes)
 
-    def _transform(self, x, kind, type, norm, overwrite_x):
+    def _transform(self, x, kind, type, norm, overwrite_x, axes):
         if type != 2 or norm != "ortho":
             raise ValueError("only the orthonormal type-2 DCT pair is available")
         out = x if overwrite_x else None
-        return self._dct(x, kind, tuple(range(x.ndim)), 1, out, 1, True)
+        return self._dct(x, kind, tuple(axes or range(x.ndim)), 1, out, 1, True)
 
 
 def _passes_known_answer(fft) -> bool:
@@ -158,6 +158,8 @@ class GridSpec:
             raise ValueError(f"cell count must be an integer, got n={self.n!r}") from None
         if self.n < 8:
             raise ValueError(f"need at least 8 cells per side, got n={self.n}")
+        if not (self.h * self.h > 0 and self.area < math.inf):
+            raise ValueError(f"cell area L^2/n^2 underflows or L^2 overflows at L={self.L}")
 
     @property
     def h(self) -> float:
@@ -177,6 +179,7 @@ class GridSpec:
 class ScalarField:
     grid: GridSpec
     values: np.ndarray
+    _min = None  # min(values), where the solver step that built it took it
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -189,6 +192,17 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
+
+    @classmethod
+    def _checked(cls, grid: GridSpec, values: np.ndarray, vmin: float) -> "ScalarField":
+        """A field of finite (n, n) `values` of minimum `vmin`, unvalidated."""
+        field = object.__new__(cls)
+        field.grid, field.values, field._min = grid, values, vmin
+        return field
+
+    def _minimum(self):
+        """min(values), taken once for a field a solver step built."""
+        return self.values.min() if self._min is None else self._min
 
 
 @dataclass
@@ -240,6 +254,7 @@ class _Faces:
         self.fx = self._all[: (n + 1) * n].reshape(n + 1, n)
         flat = self._all[(n + 1) * n :]
         self.fy, self.fy_prev = flat[1:].reshape(n, n), flat[:-1].reshape(n, n)
+        self._edge = self._all[n * n : (n + 1) * n + 1]  # fx[-1] and the zero before fy
 
     def close(self) -> None:
         """Zero the faces where the flat order wraps to the next row."""
@@ -249,12 +264,12 @@ class _Faces:
         """As VectorField.max_abs; the zero faces are fewer, the value the same."""
         return float(max(self._all.max(), -self._all.min()))
 
-    def divergence(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """The cell divergence into `out`, as divergence() computes it, with
-        the y differences in `scratch`."""
+    def divergence(self, out: np.ndarray, scratch: np.ndarray, h: float) -> np.ndarray:
+        """The cell divergence into `out`, as divergence() computes it but over
+        `h`, h times the faces' scale, with the y differences in `scratch`."""
         np.subtract(self.fx[1:, :], self.fx[:-1, :], out=out)
         out += np.subtract(self.fy, self.fy_prev, out=scratch)
-        out /= self.grid.h
+        out /= h
         return out
 
     def vector_field(self) -> VectorField:
@@ -298,13 +313,15 @@ class _Workspace:
         # the chemotactic velocity and the advective flux; only interior
         # faces are ever left nonzero (no-flux)
         self.velocity, self.flux = _Faces(grid), _Faces(grid)
-        # the right-hand sides of the two solves of a step, (A, N)
+        # the built-in models' reaction rates, then the step's (A, N) rhs
         self.rhs = np.empty((2, n, n))
-        # the reaction rates, then the solves' denominators, then their
-        # residuals' neighbour sums
-        self.cell = np.empty((2, n, n))
+        # the solves' denominators, kept while a slice's key is unchanged
+        self.denom, self.denom_keys = np.empty((2, n, n)), [None, None]
         # y-direction scratch, then the residuals of the last solves
         self.residual = np.empty((2, n, n))
+        # the residuals' neighbour sums, in the flux faces, dead once a step
+        # has taken their divergence; _helmholtz zeroes flux._edge after use
+        self.neighbours = self.flux._all[n + 1 :].reshape(2, n, n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -445,67 +462,60 @@ def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> Scalar
     return ScalarField(rhs.grid, _helmholtz(rhs.grid, rhs.values[None], (d,), (lam,), dt)[0])
 
 
-def _helmholtz(g: GridSpec, rhs: np.ndarray, ds, lams, dt: float) -> np.ndarray:
+def _helmholtz(g: GridSpec, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -> np.ndarray:
     """helmholtz_solve on a (k, n, n) stack of right-hand sides, slice s with
     d = ds[s] and lam = lams[s], for k <= 2, d >= 0, lam >= 0 and dt > 0,
-    with the same residual check on each slice.  The result is a new
-    (k, n, n) array.  Each slice's arithmetic is that of a solve on its
-    own; the operations without a per-slice scalar run once on the stack."""
+    with the same residual check on each slice, given their squared norms
+    `rhs_sq` if known.  The result is a new (k, n, n) array.  Each slice's
+    arithmetic is that of a solve on its own; the operations without a
+    per-slice scalar run once on the stack."""
     k = len(ds)
     ws = _workspace(g)
-    denom, u = ws.cell[:k], np.empty((k, g.n, g.n))
-    np.copyto(u, rhs)
-    for v, den, d, lam in zip(u, denom, ds, lams):
-        np.multiply(ws.eig_sum, dt * d, out=den)
-        den += 1.0 + dt * lam
-        _in_place(_fft.dctn, v)
-    u /= denom
-    for v in u:
-        _in_place(_fft.idctn, v)
+    for s, (d, lam) in enumerate(zip(ds, lams)):
+        key = (dt * d, 1.0 + dt * lam)
+        if ws.denom_keys[s] != key:
+            np.multiply(ws.eig_sum, key[0], out=ws.denom[s])
+            ws.denom[s] += key[1]
+            ws.denom_keys[s] = key
+    u = _fft.dctn(rhs, type=2, norm="ortho", axes=(1, 2))
+    u /= ws.denom[:k]
+    # pocketfft transforms in place; the scipy.fft fallback may not
+    u = _fft.idctn(u, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
 
     # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs, as one
     # five-point stencil: (c + 4k) u - k (sum of the four neighbours) - rhs
     # with c = 1 + dt*lam and k = dt*d/h^2, a neighbour across the boundary
     # being the mirror ghost, that is the cell itself
-    nb = _neighbour_sum(u, ws.cell[:k], ws.residual[:k])
+    nb = _neighbour_sum(u, ws.neighbours[:k], ws.residual[:k])
     applied = ws.residual[:k]
     for v, nb_s, out, d, lam in zip(u, nb, applied, ds, lams):
         kk = dt * d / g.h ** 2
         nb_s *= kk
         np.multiply(v, 1.0 + dt * lam + 4.0 * kk, out=out)
     applied -= nb
+    ws.flux._edge.fill(0.0)  # zero faces that the neighbour sums overwrote
     applied -= rhs
-    for r, a in zip(rhs, applied):
-        rel = _relative_residual(r, a)
+    if rhs_sq is None:
+        rhs_sq = np.einsum("kij,kij->k", rhs, rhs)
+    applied_sq = np.einsum("kij,kij->k", applied, applied)
+    for r, a, r2, a2 in zip(rhs, applied, rhs_sq, applied_sq):
+        rel = _relative_residual(r, a, r2, a2)
         if not rel <= HELMHOLTZ_TOL:  # NaN fails too
             raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
     return u
 
 
-def _in_place(transform, v: np.ndarray) -> None:
-    """Apply the DCT `transform` to v and leave the result in v; pocketfft
-    transforms in place, a fallback may return a new array."""
-    result = transform(v, type=2, norm="ortho", overwrite_x=True)
-    if result is not v:
-        v[...] = result
-
-
-def _relative_residual(rhs: np.ndarray, applied: np.ndarray) -> float:
-    """||applied|| / ||rhs||, floored below by _TINY.  When either norm
-    overflows, both are taken again on the arrays divided by max|rhs|, so
-    the ratio is that of finite numbers, or NaN or inf when applied is not
-    finite."""
-    num, den = _norm(applied), _norm(rhs)
-    if not (math.isfinite(num) and math.isfinite(den)):
+def _relative_residual(rhs: np.ndarray, applied: np.ndarray, rhs_sq, applied_sq) -> float:
+    """||applied|| / ||rhs|| from their squares, floored below by _TINY.
+    When either square overflows, both are taken again on the arrays
+    divided by max|rhs|, so the ratio is that of finite numbers, or NaN or
+    inf when applied is not finite.  The squares come from np.einsum, as
+    np.linalg.norm calls BLAS, which wakes its threads on every call."""
+    if not math.isfinite(rhs_sq + applied_sq):
         top = max(float(np.max(np.abs(rhs))), _TINY)
-        num, den = _norm(applied / top), _norm(rhs / top)
-    return num / max(den, _TINY)
-
-
-def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a 2-D array.  np.linalg.norm calls BLAS, which wakes
-    its sleeping threads on every call in a process not pinned to one."""
-    return math.sqrt(np.einsum("ij,ij->", v, v))
+        rhs, applied = rhs / top, applied / top
+        rhs_sq, applied_sq = np.einsum("ij,ij", rhs, rhs), np.einsum("ij,ij", applied, applied)
+    return math.sqrt(applied_sq) / max(math.sqrt(rhs_sq), _TINY)
 
 
 def _neighbour_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -738,6 +748,7 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
                     f"{path}: file grid (L={file_grid.L}, n={file_grid.n}) "
                     "does not match expected grid"
                 )
+            file_grid = grid or file_grid  # the same object passes grid checks fastest
             lines = list(itertools.islice(fh, file_grid.n))
             sep = None
         else:

@@ -62,9 +62,9 @@ class ModelKind:
 
     def reaction(self, grid: GridSpec, a: np.ndarray, n: np.ndarray):
         """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc.
-        The built-in models' rates are the grid's workspace buffers, which
-        the next call on that grid overwrites, or a read-only broadcast of
-        a constant."""
+        The built-in models' rates are the slots of the grid's workspace
+        right-hand sides, which the next call on that grid overwrites, or a
+        read-only broadcast of a constant."""
         raise NotImplementedError
 
     def velocity(self, A: ScalarField, a_floor: float) -> VectorField:
@@ -101,7 +101,7 @@ class ModelParams(ModelKind):
 
     def reaction(self, grid, a, n):
         # psi * n * a * (1.0 - a) + atilde, in that order
-        rA, one_minus_a = _workspace(grid).cell
+        rA, one_minus_a = _workspace(grid).rhs
         np.multiply(self.psi, n, out=rA)
         rA *= a
         rA *= np.subtract(1.0, a, out=one_minus_a)
@@ -134,7 +134,7 @@ class ShortParams(ModelKind):
     def reaction(self, grid, a, n):
         # n * a + a0 and -n * a + abar - a0, in that order; rounding is
         # symmetric in sign, so abar - n * a has the bits of -n * a + abar
-        rA, rN = _workspace(grid).cell
+        rA, rN = _workspace(grid).rhs
         na = np.multiply(n, a, out=rN)
         np.add(na, self.a0, out=rA)
         np.subtract(self.abar, na, out=rN)
@@ -233,32 +233,31 @@ def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
 
 def _sensitivity_faces(A: ScalarField, chi: float, a_floor: float) -> _Faces:
     """sensitivity_grad into the grid workspace's velocity faces: chi *
-    diff / h / face mean on each interior face, in place.  The y faces take
-    one contiguous call per operation over the flattened cells (see _Faces),
-    with the face means in the workspace's y scratch."""
+    diff / h / face mean on each interior face, in place, as chi * diff /
+    (h/2) / face sum, the same bits (2 chi would overflow for chi > 9e307).
+    The y faces take one contiguous call per operation over the flattened
+    cells (see _Faces), with the face sums in the workspace's y scratch."""
     if a_floor <= 0:
         raise ValueError("a_floor must be positive")
     g = A.grid
     a = A.values
-    if a.min() < a_floor:
-        raise FloorViolation(f"A dropped to {a.min():.6g}, below floor {a_floor:.6g}")
+    if A._minimum() < a_floor:
+        raise FloorViolation(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
     ws = _workspace(g)
     faces = ws.velocity
-    mean = ws.residual[0]
-    vx, afx = faces.fx[1:-1, :], mean[:-1, :]
+    half_h, total = 0.5 * g.h, ws.residual[0]
+    vx, afx = faces.fx[1:-1, :], total[:-1, :]
     np.add(a[1:, :], a[:-1, :], out=afx)
-    afx *= 0.5
     np.subtract(a[1:, :], a[:-1, :], out=vx)
     vx *= chi
-    vx /= g.h
+    vx /= half_h
     vx /= afx
     upper, lower = _y_pairs(a)
-    vy, afy = _y_faces(faces.fy), _y_faces(mean)
+    vy, afy = _y_faces(faces.fy), _y_faces(total)
     np.add(upper, lower, out=afy)
-    afy *= 0.5
     np.subtract(upper, lower, out=vy)
     vy *= chi
-    vy /= g.h
+    vy /= half_h
     vy /= afy
     faces.close()
     return faces

@@ -176,30 +176,26 @@ def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
 # Single step
 # ---------------------------------------------------------------------------
 
-def _advective_flux(n: np.ndarray, v: _Faces, scheme: str, flux: _Faces) -> None:
+def _advective_flux(n: np.ndarray, v: _Faces, scheme: str, flux: _Faces) -> float:
     """Face flux of the drift term, -N_face * v, with N at faces by
     arithmetic mean (centered) or by donor cell (upwind), written into the
-    faces `flux`, in the layout of `v` (see _Faces)."""
+    faces `flux`, in the layout of `v` (see _Faces), times -2 or -1; returns
+    h times that power of two, which divides the divergence to the same bits."""
     fx, vx = flux.fx[1:-1, :], v.fx[1:-1, :]
     fy, vy = _y_faces(flux.fy), _y_faces(v.fy)
     upper, lower = _y_pairs(n)
     if scheme == "centered":
-        # -(0.5 * s) in one multiply: rounding is symmetric in sign, so
-        # s * -0.5 has the same bits
         np.add(n[1:, :], n[:-1, :], out=fx)
-        fx *= -0.5
         np.add(upper, lower, out=fy)
-        fy *= -0.5
     else:
         np.copyto(fx, n[1:, :])
         np.copyto(fx, n[:-1, :], where=vx >= 0)
-        np.negative(fx, out=fx)
         np.copyto(fy, upper)
         np.copyto(fy, lower, where=vy >= 0)
-        np.negative(fy, out=fy)
     fx *= vx
     fy *= vy
     flux.close()
+    return (-2.0 if scheme == "centered" else -1.0) * flux.grid.h
 
 
 def step(
@@ -212,10 +208,11 @@ def step(
     """One IMEX update: explicit chemotactic transport and nonlinear
     reaction, then implicit Helmholtz solves for diffusion and linear decay.
     The update runs on the grid's workspace buffers; only its result is
-    built into fields, whose arrays are two slices of one new array.
-    `velocity` is the chemotactic face velocity of state.A, a VectorField
-    or the workspace faces that ModelKind._face_velocity fills; when None,
-    the step computes it with `sensitivity_floor(A, bounds)`."""
+    built into fields, which keep the minima the guards took (so they must
+    not be changed in place) and whose arrays are two slices of one new
+    array.  `velocity` is the chemotactic face velocity of state.A, a
+    VectorField or the workspace faces that ModelKind._face_velocity fills;
+    when None, the step computes it with `sensitivity_floor(A, bounds)`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
@@ -223,9 +220,9 @@ def step(
     g = _same_grid(A, N)
     a, n = A.values, N.values
     # the reaction's preconditions; N may undershoot 0 by guard_tol
-    if a.min() <= 0:
+    if A._minimum() <= 0:
         raise NonPositiveA("attractiveness must be positive everywhere")
-    if n.min() < -config.guard_tol:
+    if N._minimum() < -config.guard_tol:
         raise NegativeN(f"criminal density fell below -{config.guard_tol}")
 
     rA, rN, lam_A, lam_N = params.reaction(g, a, n)
@@ -235,33 +232,36 @@ def step(
     ws = _workspace(g)
     if isinstance(velocity, VectorField):
         velocity = ws.velocity.assign(velocity)
-    _advective_flux(n, velocity, config.flux_scheme, ws.flux)
+    divisor = _advective_flux(n, velocity, config.flux_scheme, ws.flux)
 
-    # A + dt*rA and N + dt*(div(flux) + rN), stacked in the workspace
+    # A + dt*rA and N + dt*(div(flux) + rN), in the workspace's rhs stack,
+    # which holds the built-in models' rates
     rhs = ws.rhs
     a_exp, n_exp = rhs
     np.multiply(rA, dt, out=a_exp)
     a_exp += a
-    ws.flux.divergence(n_exp, ws.residual[0])
-    n_exp += rN
+    np.add(ws.flux.divergence(*ws.residual, divisor), rN, out=n_exp)
     n_exp *= dt
     n_exp += n
-    if not np.isfinite(rhs).all():
+    # the residual check's squared norms; one not finite may be an overflow
+    rhs_sq = np.einsum("kij,kij->k", rhs, rhs)
+    if not math.isfinite(rhs_sq[0] + rhs_sq[1]) and not np.isfinite(rhs).all():
         raise NonFinite("explicit stage produced non-finite values")
 
     # a solve that passes its residual check has a finite solution
-    u = _helmholtz(g, rhs, (params.eta, 1.0), (lam_A, lam_N), dt)
-    A_new, N_new = ScalarField(g, u[0]), ScalarField(g, u[1])
-    _guard(A_new, N_new, config, bounds)
+    u = _helmholtz(g, rhs, (params.eta, 1.0), (lam_A, lam_N), dt, rhs_sq)
+    a_min, n_min = _guard(u[0], u[1], config, bounds)
+    A_new = ScalarField._checked(g, u[0], a_min)
+    N_new = ScalarField._checked(g, u[1], n_min)
     return SimState(state.t + dt, A_new, N_new, state.step_count + 1)
 
 
 def _guard(
-    A: ScalarField, N: ScalarField, config: SimConfig, bounds: Optional[DerivedBounds]
-) -> None:
-    """The positivity guards; the fields are finite, as every ScalarField is."""
+    a: np.ndarray, n: np.ndarray, config: SimConfig, bounds: Optional[DerivedBounds]
+) -> tuple[float, float]:
+    """The positivity guards on the finite values a, n of A, N; returns their minima."""
     tol = config.guard_tol
-    a_min, n_min = float(A.values.min()), float(N.values.min())
+    a_min, n_min = float(a.min()), float(n.min())
     if bounds is not None:
         span = bounds.a_max - bounds.a_min
         floor = bounds.a_min - tol * span
@@ -273,6 +273,7 @@ def _guard(
         raise PositivityBreach("A lost positivity")
     if n_min < -tol:
         raise PositivityBreach(f"N reached {n_min:.6g}, below -guard_tol = {-tol:.6g}")
+    return a_min, n_min
 
 
 def adapt_dt(velocity: VectorField | _Faces, config: SimConfig, dt_prev: float) -> float:

@@ -158,6 +158,17 @@ class TestVerify:
     def test_rejects_coarse_grid(self, capsys):
         assert cli.main(["verify", "--n", "16", "--samples", "1"]) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x"])
+    def test_amplitude_must_be_finite_and_positive(self, capsys, value):
+        # -1 and nan were a ValueError and an OverflowError traceback
+        rc = cli.main(["verify", "--n", "32", "--samples", "1", "--amplitude", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--amplitude" in errors[0]
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_complete_run_writes_outputs(self, tmp_path, capsys):
@@ -571,6 +582,78 @@ class TestNumericsValidation:
         assert err.startswith("error:")
         assert key.split(".")[1] in err
         assert not (tmp_path / "out").exists()
+
+
+_MAIN_NUMBERS = [
+    "model.eta", "model.psi", "model.omega", "model.atilde", "model.chi", "grid.L",
+    "time.t_end", "time.dt_init", "time.dt_min", "time.dt_max", "time.output_every",
+    "numerics.cfl", "numerics.guard_tol",
+]
+_SHORT_MODEL = {"kind": "short", "eta": 0.05, "a0": 0.2, "abar": 0.8, "chi": 1.0}
+
+
+class TestNumericKeysAreJsonNumbers:
+    """Every numeric key of model, grid, time and numerics must be a JSON
+    number: a string such as "inf" or "1" is rejected by name."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, tmp_path, *parts):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:")
+        for part in parts:
+            assert part in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1", "inf", True, []],
+                             ids=["numeric-string", "inf-string", "bool", "list"])
+    @pytest.mark.parametrize("key", _MAIN_NUMBERS + ["model.a0", "model.abar"])
+    def test_non_number_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        overrides = {"grid.n": 16, key: value}
+        if key in ("model.a0", "model.abar"):
+            overrides = {"model": {**_SHORT_MODEL, key[6:]: value}, "grid.n": 16}
+        write_config(cfg, **overrides)
+        assert cli.main(["simulate", str(cfg)]) == 1
+        self.assert_one_error_line(capsys, tmp_path, key, "JSON number")
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.eta", 1e308),  # an OverflowError in analysis.choose_c
+        ("grid.L", 1e-320),  # an area that underflows to 0
+        ("grid.L", 1e200),  # an area that overflows to inf
+    ])
+    def test_number_the_model_cannot_use_is_a_config_error(
+        self, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, key: value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        self.assert_one_error_line(capsys, tmp_path, key.partition(".")[2])
+
+    def test_largest_chi_still_ends_in_an_outcome(self, tmp_path, capsys):
+        # a velocity built with 2 chi overflowed here, and the step size
+        # went to 0 (a ValueError traceback)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "model.chi": 1e308, "outputs.snapshots": False})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["simulate", str(cfg)]) == 3
+        assert json.loads((tmp_path / "out" / "outcome.json").read_text())["outcome"] == (
+            "blowup_suspected"
+        )
+
+    def test_missing_required_number_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        del doc["model"]["psi"]
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(cfg)]) == 1
+        self.assert_one_error_line(capsys, tmp_path, "model.psi")
+
+    def test_null_dt_max_means_no_cap(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"time.dt_max": None})
+        config, _ = cli.load_config(cfg)
+        assert config.dt_max is None
 
 
 class TestNonFiniteConfigValues:

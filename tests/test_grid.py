@@ -274,8 +274,9 @@ class TestHelmholtz:
 
             @staticmethod
             def idctn(x, *args, **kwargs):
+                # one cell of the first slice of the solve's stack
                 u = real.idctn(x, *args, **kwargs)
-                u[cell] += 1e-6
+                u[(0, *cell)] += 1e-6
                 return u
 
         monkeypatch.setattr(hotspotsim.grid, "_fft", CorruptedFFT)
@@ -940,6 +941,23 @@ class TestHelmholtzWorkspace:
             )
             assert np.stack(got[n]).tobytes() == np.load(out).tobytes()
 
+    def test_workspace_holds_eleven_fields(self):
+        # the symbol, two face families and three (2, n, n) stacks: a cache
+        # that added a buffer would show here
+        n = 64
+        ws = grid_module._Workspace(GridSpec(L=1.0, n=n))
+        arrays = [
+            x for owner in (ws, ws.velocity, ws.flux) for x in vars(owner).values()
+            if isinstance(x, np.ndarray)
+        ]
+        owners = {}
+        for x in arrays:
+            while x.base is not None:
+                x = x.base
+            owners[id(x)] = x
+        total = sum(x.nbytes for x in owners.values())
+        assert total // (n * n * 8) == 11
+
     def test_workspace_cache_stays_bounded(self):
         for n in range(8, 24):
             helmholtz_solve(rand_field(GridSpec(L=1.0, n=n)), 0.1, 1.0, 1e-2)
@@ -981,6 +999,25 @@ class TestDctPair:
         back_want = scipy_fft.idctn(want, type=2, norm="ortho", overwrite_x=overwrite_x)
         assert back.tobytes() == back_want.tobytes()
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 64])
+    @pytest.mark.parametrize("overwrite_x", [False, True])
+    def test_stack_bitwise_equal_to_scipy(self, n, overwrite_x):
+        # the Helmholtz solves transform a (2, n, n) stack over its last axes
+        base = np.random.default_rng(n).standard_normal((2, n, n))
+        ours, theirs = base.copy(), base.copy()
+        kw = dict(type=2, norm="ortho", overwrite_x=overwrite_x, axes=(1, 2))
+        got = grid_module._fft.dctn(ours, **kw)
+        want = scipy_fft.dctn(theirs, **kw)
+        assert got.tobytes() == want.tobytes()
+        each = np.stack([scipy_fft.dctn(b, type=2, norm="ortho") for b in base])
+        assert got.tobytes() == each.tobytes()
+        assert got is ours if overwrite_x else ours.tobytes() == base.tobytes()
+        back = grid_module._fft.idctn(got, **kw)
+        back_want = scipy_fft.idctn(want, **kw)
+        assert back.tobytes() == back_want.tobytes()
+        each = np.stack([scipy_fft.idctn(c, type=2, norm="ortho") for c in each])
+        assert back.tobytes() == each.tobytes()
 
     def test_only_the_orthonormal_type_2_pair(self):
         x = np.ones((8, 8))

@@ -191,7 +191,7 @@ class TestStep:
         A = ScalarField(grid, np.full((32, 32), 0.7))  # below guarded floor
         N = ScalarField(grid, np.ones((32, 32)))
         with pytest.raises(PositivityBreach):
-            solver._guard(A, N, cfg, bounds)
+            solver._guard(A.values, N.values, cfg, bounds)
 
     def test_guard_rejects_negative_density(self):
         grid = GridSpec(L=1.0, n=32)
@@ -199,7 +199,7 @@ class TestStep:
         A = ScalarField(grid, np.ones((32, 32)))
         N = ScalarField(grid, np.full((32, 32), -1e-3))
         with pytest.raises(PositivityBreach):
-            solver._guard(A, N, cfg, None)
+            solver._guard(A.values, N.values, cfg, None)
 
     def test_rejects_nonpositive_dt(self):
         cfg = small_config()
@@ -219,6 +219,17 @@ class TestStep:
         want = step(SimState(0.0, A.copy(), N.copy()), dt, cfg)
         assert got.A.values.tobytes() == want.A.values.tobytes()
         assert got.N.values.tobytes() == want.N.values.tobytes()
+
+    def test_results_keep_their_minima_and_other_states_are_checked(self):
+        cfg = small_config()
+        A, N = build_initial(cfg)
+        new = step(SimState(0.0, A, N), 1e-3, cfg)
+        assert new.A._min == new.A.values.min()
+        assert new.N._min == new.N.values.min()
+        # a state that no step built has its minima taken
+        sunk = SimState(new.t, ScalarField(new.A.grid, new.A.values - 10.0), new.N)
+        with pytest.raises(model_module.NonPositiveA):
+            step(sunk, 1e-3, cfg)
 
     def test_rejects_velocity_on_another_grid(self):
         cfg = small_config()
@@ -601,8 +612,9 @@ class TestNumericalFailuresAreOutcomes:
 
             @staticmethod
             def idctn(x, *args, **kwargs):
+                # one cell of the first slice of the solve's stack
                 u = real.idctn(x, *args, **kwargs)
-                u[3, 5] += 1e-6
+                u[0, 3, 5] += 1e-6
                 return u
 
         monkeypatch.setattr(grid_module, "_fft", CorruptedFFT)
@@ -644,13 +656,99 @@ class TestNumericalFailuresAreOutcomes:
             @staticmethod
             def idctn(x, *args, **kwargs):
                 u = real.idctn(x, *args, **kwargs)
-                u[2, 2] = np.nan
+                u[0, 2, 2] = np.nan
                 return u
 
         monkeypatch.setattr(grid_module, "_fft", NanFFT)
         rhs = ScalarField(GridSpec(L=1.0, n=16), np.full((16, 16), 0.7))
         with pytest.raises(SolveFailure, match="residual nan"):
             helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
+
+
+def source_plugin(f):
+    """A GeneralModel with the A source f, no N source and no drift."""
+    return GeneralModel(
+        f=f, g=lambda a, n: np.zeros_like(n), h=lambda a: np.zeros_like(a),
+        eta=0.1, omega=1.0, a_min=0.25, a_max=1.0, delta=0.5,
+        g1=1.0, g2=0.0, f1=0.0, f2=0.5,
+    )
+
+
+class TestHalvedFailures:
+    """The failures run() cures by halving the step: a non-finite explicit
+    stage and a guard breach."""
+
+    @staticmethod
+    def overflowing_once():
+        """A plugin whose f is 1e308, finite, at its first call, so that
+        dt * f overflows at dt = 2, and 0.1 at every later call."""
+        calls = []
+
+        def f(a, n):
+            calls.append(None)
+            return np.full_like(a, 1e308 if len(calls) == 1 else 0.1)
+
+        return source_plugin(f)
+
+    def test_non_finite_explicit_stage_is_raised_before_the_solve(self, monkeypatch):
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=self.overflowing_once(),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+            t_end=2.0, dt_init=2.0, output_every=2.0,
+        )
+        A, N = build_initial(cfg)
+        solves = []
+        real = solver._helmholtz
+        monkeypatch.setattr(
+            solver, "_helmholtz", lambda *args: solves.append(None) or real(*args)
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(solver.NonFinite, match="explicit stage"):
+                step(SimState(0.0, A, N), 2.0, cfg)
+        assert solves == []
+
+    def test_non_finite_explicit_stage_halves(self):
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=self.overflowing_once(),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+            t_end=2.0, dt_init=2.0, output_every=2.0,
+        )
+        with np.errstate(over="ignore"):
+            result = run(cfg)
+        assert result.outcome.kind == "completed"
+        assert (result.steps_accepted, result.steps_rejected) == (2, 1)
+
+    def test_short_model_a_losing_positivity_is_a_breach(self):
+        # N down to -0.9 (guard_tol 1) makes A's source n a + a0 negative
+        grid = GridSpec(L=1.0, n=16)
+        cfg = small_config(
+            grid=grid, params=ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=4.0),
+            guard_tol=1.0,
+        )
+        state = SimState(
+            0.0, ScalarField(grid, np.full((16, 16), 0.8)),
+            ScalarField(grid, np.full((16, 16), -0.9)),
+        )
+        with pytest.raises(PositivityBreach, match="A lost positivity"):
+            step(state, 2.0, cfg)
+        assert step(state, 0.5, cfg).A.values.min() > 0
+
+    def test_a_losing_positivity_halves(self):
+        # a0 (1 - 40 dt) < 0 at dt = 0.04, and 0.2 a0 at 0.02
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=source_plugin(lambda a, n: -40.0 * a),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+            t_end=0.04, dt_init=0.04, output_every=0.04,
+        )
+        A, N = build_initial(cfg)
+        with pytest.raises(PositivityBreach, match="A lost positivity"):
+            step(SimState(0.0, A, N), 0.04, cfg)
+        result = run(cfg)
+        assert result.outcome.kind == "completed"
+        assert (result.steps_accepted, result.steps_rejected) == (2, 1)
 
 
 class TestStepCounter:
@@ -845,6 +943,48 @@ class TestStepAllocation:
         assert peak - before < 2 * field + field // 2
 
 
+    @pytest.mark.parametrize("dt", [1e-4, 2e-4], ids=["repeated-dt", "changed-dt"])
+    def test_denominators_are_rebuilt_only_when_dt_changes(self, dt):
+        n = 64
+        grid = GridSpec(L=1.0, n=n)
+        params = _reference_params("main")
+        cfg = small_config(grid=grid, params=params)
+        A, N = _wavy_state(grid).A, ScalarField(grid, np.full((n, n), 1.0))
+        state = SimState(0.0, A, N)
+        bounds = params.bounds(A, N)
+        step(state, 1e-4, cfg, bounds)
+        ws = grid_module._workspace(grid)
+        # a step at the same dt must not write them
+        ws.denom.flags.writeable = dt != 1e-4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            new = step(state, dt, cfg, bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ws.denom.flags.writeable = True
+        field = n * n * 8
+        assert peak - before < 2 * field + field // 2
+        grid_module._workspace.cache_clear()
+        fresh = step(state, dt, cfg, bounds)
+        assert new.A.values.tobytes() == fresh.A.values.tobytes()
+        assert new.N.values.tobytes() == fresh.N.values.tobytes()
+
+    def test_a_solve_between_steps_leaves_no_trace(self):
+        # helmholtz_solve rebuilds the first denominator for its own d and
+        # lam, and its neighbour sums overwrite the flux faces
+        grid = GridSpec(L=1.0, n=33)
+        cfg = small_config(grid=grid, params=_reference_params("short"))
+        state = _wavy_state(grid)
+        grid_module._workspace.cache_clear()
+        fresh = step(state, 1e-4, cfg)
+        helmholtz_solve(state.A, 0.3, 2.0, 1e-4)
+        again = step(state, 1e-4, cfg)
+        assert again.A.values.tobytes() == fresh.A.values.tobytes()
+        assert again.N.values.tobytes() == fresh.N.values.tobytes()
+
+
 class TestModelProtocol:
     KINDS = {
         "main": ModelParams(eta=0.1, psi=0.5, omega=84.0, atilde=0.7, chi=2.0),
@@ -933,10 +1073,11 @@ class TestStatesOwnTheirArrays:
                 assert not np.shares_memory(x, y)
 
     def test_fields_validated_once_per_step_result(self, monkeypatch):
-        # the step works on arrays: only its two result fields are built
-        # validated, and an output validates one field per energy window
-        # (the Laplacian of A); per-operator validation inside the step
-        # would raise the per-step count
+        # the step works on arrays, and the residual check is its results'
+        # one validation: a passing check shows them finite, so the two
+        # result fields are built without a ScalarField validation.  An
+        # output validates one field per energy window (the Laplacian of
+        # A); any validation inside the step would raise the count
         calls = []
         real = ScalarField.__post_init__
 
@@ -958,7 +1099,7 @@ class TestStatesOwnTheirArrays:
         assert len(result.records) == 5
         windows = sum(rec.residuals is not None for rec in result.records)
         assert windows == 3
-        assert len(calls) == initial + 2 * result.steps_accepted + windows
+        assert len(calls) == initial + windows
 
     def test_one_velocity_per_accepted_state(self, monkeypatch):
         calls = []
