@@ -84,15 +84,20 @@ def check_global_condition(
     (a_max/a_min)^2 (a_max - a_min) n1_max < eps0 * eta / (psi chi^2),
     with eps0 the square closed form unless (mu, K) are supplied; also report
     the size-free alternate route (chi <= 1, atilde <= 1, max A0 <= 1)."""
-    if mu_k_override is not None:
-        mu, K = mu_k_override
-        eps0 = mu ** -2 * K ** -0.5
-        source = "user_supplied"
-    else:
-        eps0 = EPS0_SQUARE
-        source = "square_closed_form"
-    lhs = (bounds.a_max / bounds.a_min) ** 2 * (bounds.a_max - bounds.a_min) * bounds.n1_max
-    rhs = eps0 * params.eta / (params.psi * params.chi ** 2)
+    try:
+        if mu_k_override is not None:
+            mu, K = mu_k_override
+            eps0 = mu ** -2 * K ** -0.5
+            source = "user_supplied"
+        else:
+            eps0 = EPS0_SQUARE
+            source = "square_closed_form"
+        lhs = (bounds.a_max / bounds.a_min) ** 2 * (bounds.a_max - bounds.a_min) * bounds.n1_max
+        rhs = eps0 * params.eta / (params.psi * params.chi ** 2)
+        if not all(map(math.isfinite, (eps0, lhs, rhs))):
+            raise OverflowError  # a product overflowed to inf without raising
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("a term of the condition overflows a double") from None
     holds = lhs < rhs
     # a_max = max{1, atilde, max A0} >= 1, so a_max <= 1 encodes max A0 <= 1.
     alternate = params.chi <= 1.0 and params.atilde <= 1.0 and bounds.a_max <= 1.0
@@ -127,6 +132,8 @@ def critical_constants(eta: float, psi: float, area: float) -> tuple[float, floa
     if eta <= 0 or psi <= 0 or area <= 0:
         raise ValueError("eta, psi, area must be positive")
     gamma = 1.0 / (12.0 * math.sqrt(3.0) * area * psi)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma overflows a double at psi={psi:g}, area={area:g}")
     atilde_minus = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * gamma * eta))
     return gamma, atilde_minus
 

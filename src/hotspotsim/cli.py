@@ -33,6 +33,13 @@ class ConfigError(HotspotError):
     pass
 
 
+def _finite_flag(text: str) -> float:
+    """A flag value that is a finite float (argparse reports a ValueError)."""
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return float(text)
+
+
 def _positive_float(text: str) -> float:
     """A flag value that is a finite float > 0 (argparse reports a ValueError)."""
     if not 0 < float(text) < math.inf:
@@ -295,16 +302,8 @@ def _emit_outputs(result: solver.RunResult, out_opts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    try:
-        config, out_opts = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = solver.run(config, keep_snapshots=out_opts["snapshots"])
-    except solver.InitialConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config, out_opts = load_config(args.config)
+    result = solver.run(config, keep_snapshots=out_opts["snapshots"])
     try:
         _emit_outputs(result, out_opts)
     except OSError as exc:
@@ -322,37 +321,25 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     if args.amin > args.amax:
-        print("error: --amin must not exceed --amax", file=sys.stderr)
-        return 1
-    try:
-        params = ModelParams(
-            eta=args.eta, psi=args.psi, omega=1.0, atilde=args.atilde, chi=args.chi
-        )
-        bounds = DerivedBounds(a_min=args.amin, a_max=args.amax, n1_max=args.n1max)
-        domain = GridSpec(L=args.L, n=8)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    override = None
-    if args.mu is not None or args.K is not None:
-        if args.mu is None or args.K is None:
-            print("error: --mu and --K must be given together", file=sys.stderr)
-            return 1
-        override = (args.mu, args.K)
+        raise ValueError("--amin must not exceed --amax")
+    if (args.mu is None) != (args.K is None):
+        raise ValueError("--mu and --K must be given together")
+    override = None if args.mu is None else (args.mu, args.K)
+    params = ModelParams(
+        eta=args.eta, psi=args.psi, omega=1.0, atilde=args.atilde, chi=args.chi
+    )
+    bounds = DerivedBounds(a_min=args.amin, a_max=args.amax, n1_max=args.n1max)
+    domain = GridSpec(L=args.L, n=8)
     report = analysis.check_global_condition(params, bounds, domain, override)
     print(report.to_json())
     return 0 if report.any_route_holds else 2
 
 
 def cmd_table(args) -> int:
-    try:
-        etas = [float(tok) for tok in args.eta_list.split(",") if tok]
-        if not etas or any(e <= 0 for e in etas):
-            raise ValueError("eta values must be positive")
-        gamma, _ = analysis.critical_constants(etas[0], args.psi, args.area)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    etas = [float(tok) for tok in args.eta_list.split(",") if tok]
+    if not etas or not all(0 < e < math.inf for e in etas):
+        raise ValueError("eta values must be finite and positive")
+    gamma, _ = analysis.critical_constants(etas[0], args.psi, args.area)
     print(f"# gamma = {gamma:.6f}")
     print("eta,atilde_minus")
     for eta in etas:
@@ -363,8 +350,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.n < 32:
-        print("error: --n must be at least 32", file=sys.stderr)
-        return 1
+        raise ValueError("--n must be at least 32")
     grid = GridSpec(L=1.0, n=args.n)
     worst_ratio_l1 = 0.0
     worst_ratio_k = 0.0
@@ -412,14 +398,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    try:
-        params = ModelParams(
-            eta=1.0, psi=args.psi, omega=1.0, atilde=args.atilde, chi=1.0
-        )
-        a_star, n_star = params.steady_state()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = ModelParams(eta=1.0, psi=args.psi, omega=1.0, atilde=args.atilde, chi=1.0)
+    a_star, n_star = params.steady_state()
     residual = args.psi * a_star * (1.0 - a_star) + args.atilde - a_star
     print(f"A* = {a_star:.12g}")
     print(f"N* = {n_star:.12g}")
@@ -439,14 +419,14 @@ def build_parser() -> _Parser:
 
     p_chk = sub.add_parser("check", help="evaluate the global-existence condition")
     for flag in ("eta", "psi", "chi", "atilde", "amin", "amax", "n1max", "L"):
-        p_chk.add_argument(f"--{flag}", type=float, required=flag != "L", default=1.0)
-    p_chk.add_argument("--mu", type=float, default=None)
-    p_chk.add_argument("--K", type=float, default=None)
+        p_chk.add_argument(f"--{flag}", type=_finite_flag, required=flag != "L", default=1.0)
+    p_chk.add_argument("--mu", type=_positive_float, default=None)
+    p_chk.add_argument("--K", type=_positive_float, default=None)
     p_chk.set_defaults(fn=cmd_check)
 
     p_tab = sub.add_parser("table", help="critical static attractiveness vs eta")
-    p_tab.add_argument("--psi", type=float, required=True)
-    p_tab.add_argument("--area", type=float, required=True)
+    p_tab.add_argument("--psi", type=_finite_flag, required=True)
+    p_tab.add_argument("--area", type=_finite_flag, required=True)
     p_tab.add_argument("--eta-list", required=True)
     p_tab.set_defaults(fn=cmd_table)
 
@@ -478,7 +458,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except (ValueError, HotspotError) as exc:
+            # a value the command cannot use, named by the message
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     finally:
         gc.unfreeze()
 

@@ -180,6 +180,7 @@ class ScalarField:
     grid: GridSpec
     values: np.ndarray
     _min = None  # min(values), where the solver step that built it took it
+    _views = None  # (workspace, _pairs(values)) of a field a step built
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -194,10 +195,10 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
     @classmethod
-    def _checked(cls, grid: GridSpec, values: np.ndarray, vmin: float) -> "ScalarField":
-        """A field of finite (n, n) `values` of minimum `vmin`, unvalidated."""
+    def _checked(cls, grid: GridSpec, values: np.ndarray, vmin, views=None) -> "ScalarField":
+        """A field of finite (n, n) `values` of minimum `vmin` (or None), unvalidated."""
         field = object.__new__(cls)
-        field.grid, field.values, field._min = grid, values, vmin
+        field.grid, field.values, field._min, field._views = grid, values, vmin, views
         return field
 
     def _minimum(self):
@@ -255,10 +256,14 @@ class _Faces:
         flat = self._all[(n + 1) * n :]
         self.fy, self.fy_prev = flat[1:].reshape(n, n), flat[:-1].reshape(n, n)
         self._edge = self._all[n * n : (n + 1) * n + 1]  # fx[-1] and the zero before fy
+        # the interior x faces and the flat y faces one call over _pairs
+        # writes (all but the last), the x differences' sides and the wraps
+        self.fx_in, self.fy_in = self.fx[1:-1, :], flat[1:-1]
+        self._fx_hi, self._fx_lo, self._wrap = self.fx[1:, :], self.fx[:-1, :], self.fy[:, -1]
 
     def close(self) -> None:
         """Zero the faces where the flat order wraps to the next row."""
-        self.fy[:, -1] = 0.0
+        self._wrap.fill(0.0)
 
     def max_abs(self) -> float:
         """As VectorField.max_abs; the zero faces are fewer, the value the same."""
@@ -267,7 +272,7 @@ class _Faces:
     def divergence(self, out: np.ndarray, scratch: np.ndarray, h: float) -> np.ndarray:
         """The cell divergence into `out`, as divergence() computes it but over
         `h`, h times the faces' scale, with the y differences in `scratch`."""
-        np.subtract(self.fx[1:, :], self.fx[:-1, :], out=out)
+        np.subtract(self._fx_hi, self._fx_lo, out=out)
         out += np.subtract(self.fy, self.fy_prev, out=scratch)
         out /= h
         return out
@@ -286,17 +291,12 @@ class _Faces:
         return self
 
 
-def _y_pairs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells after and before each flat y face (see _Faces) of the n x n
-    cells v, as views of its flattened cells; a copy if v is not C-ordered."""
+def _pairs(v: np.ndarray) -> tuple:
+    """The cells after and before each interior x face, then each flat y
+    face (see _Faces), of the n x n cells v: views of v, the y pairs of its
+    flattened cells; a copy if v is not C-ordered."""
     flat = v.reshape(-1)
-    return flat[1:], flat[:-1]
-
-
-def _y_faces(buf: np.ndarray) -> np.ndarray:
-    """The flat y faces of the C-contiguous n x n buffer `buf` that one
-    call over _y_pairs writes: all but the last."""
-    return buf.reshape(-1)[:-1]
+    return v[1:, :], v[:-1, :], flat[1:], flat[:-1]
 
 
 class _Workspace:
@@ -322,11 +322,58 @@ class _Workspace:
         # the residuals' neighbour sums, in the flux faces, dead once a step
         # has taken their divergence; _helmholtz zeroes flux._edge after use
         self.neighbours = self.flux._all[n + 1 :].reshape(2, n, n)
+        # views of the hot path, built once: the rhs slots, the denominators,
+        # the scratch slices and the velocity's face sums in the first one
+        self.slots, self.denoms = tuple(self.rhs), tuple(self.denom)
+        self.scratch = tuple(self.residual)
+        self.sums = self.residual[0][:-1, :], self.residual[0].reshape(-1)[:-1]
+        self.half_h, self.h_sq = 0.5 * grid.h, grid.h ** 2
 
 
 @functools.lru_cache(maxsize=4)
 def _workspace(grid: GridSpec) -> _Workspace:
     return _Workspace(grid)
+
+
+class _Stack:
+    """A C-contiguous (k, n, n) stack of cell values, k <= 2, and the views
+    a step or a solve into it takes of it and of the grid's workspace `ws`,
+    built once: its slices, their _pairs, its neighbour sums' operands and
+    the workspace's k slices.  A run's next step writes into `other`."""
+
+    def __init__(self, ws: _Workspace, values: np.ndarray):
+        k, n = len(values), values.shape[-1]
+        self.ws, self.values, self.slices, self.other = ws, values, tuple(values), None
+        self.pairs = tuple(map(_pairs, values))
+        self.views = (ws, self.pairs[0])  # of the first slice, A in a step
+        self.denom, self.nb, self.applied = ws.denom[:k], ws.neighbours[:k], ws.residual[:k]
+        self.nb_slices, self.applied_slices = tuple(self.nb), tuple(self.applied)
+        nb, scratch = self.nb, self.applied
+        # the x sums and, in the scratch, the y sums each take one call over
+        # the flattened stack, which pairs cells across rows or slices on the
+        # boundaries; the calls after each overwrite those with the mirror
+        # ghosts, the cells themselves
+        flat, v = values.reshape(-1), values
+        self.nb_sums = (
+            (flat[: -2 * n], flat[2 * n :], nb.reshape(-1)[n:-n]),
+            (v[:, 0, :], v[:, 1, :], nb[:, 0, :]),
+            (v[:, -2, :], v[:, -1, :], nb[:, -1, :]),
+            (flat[:-2], flat[2:], scratch.reshape(-1)[1:-1]),
+            (v[:, :, 0], v[:, :, 1], scratch[:, :, 0]),
+            (v[:, :, -2], v[:, :, -1], scratch[:, :, -1]),
+        )
+
+    @classmethod
+    def pair(cls, ws: _Workspace, values: np.ndarray) -> "_Stack":
+        """A stack of `values` and a new one, each the other's `other`."""
+        first, second = cls(ws, values), cls(ws, np.empty_like(values))
+        first.other, second.other = second, first
+        return first
+
+    def fields(self, grid: GridSpec, a_min, n_min) -> tuple[ScalarField, ScalarField]:
+        """A and N, viewing the two slices, of minima a_min and n_min."""
+        return (ScalarField._checked(grid, self.slices[0], a_min, self.views),
+                ScalarField._checked(grid, self.slices[1], n_min))
 
 
 def _same_grid(*fields) -> GridSpec:
@@ -459,82 +506,67 @@ def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> Scalar
     residual.  The returned field owns its values."""
     if d < 0 or lam < 0 or dt <= 0:
         raise ValueError("need d >= 0, lam >= 0, dt > 0")
-    return ScalarField(rhs.grid, _helmholtz(rhs.grid, rhs.values[None], (d,), (lam,), dt)[0])
+    g = rhs.grid
+    u = _Stack(_workspace(g), np.empty((1, g.n, g.n)))
+    _helmholtz(u, rhs.values[None], (d,), (lam,), dt)
+    return ScalarField(g, u.values[0])
 
 
-def _helmholtz(g: GridSpec, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -> np.ndarray:
-    """helmholtz_solve on a (k, n, n) stack of right-hand sides, slice s with
-    d = ds[s] and lam = lams[s], for k <= 2, d >= 0, lam >= 0 and dt > 0,
-    with the same residual check on each slice, given their squared norms
-    `rhs_sq` if known.  The result is a new (k, n, n) array.  Each slice's
+def _helmholtz(out: _Stack, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -> None:
+    """helmholtz_solve on a (k, n, n) stack of right-hand sides into the
+    k-slice stack `out`, slice s with d = ds[s] and lam = lams[s], for
+    d >= 0, lam >= 0 and dt > 0, with the same residual check on each
+    slice, given their squared norms `rhs_sq` if known.  Each slice's
     arithmetic is that of a solve on its own; the operations without a
     per-slice scalar run once on the stack."""
-    k = len(ds)
-    ws = _workspace(g)
+    ws = out.ws
     for s, (d, lam) in enumerate(zip(ds, lams)):
         key = (dt * d, 1.0 + dt * lam)
         if ws.denom_keys[s] != key:
-            np.multiply(ws.eig_sum, key[0], out=ws.denom[s])
-            ws.denom[s] += key[1]
+            denom = ws.denoms[s]
+            np.multiply(ws.eig_sum, key[0], out=denom)
+            denom += key[1]
             ws.denom_keys[s] = key
-    u = _fft.dctn(rhs, type=2, norm="ortho", axes=(1, 2))
-    u /= ws.denom[:k]
+    np.copyto(out.values, rhs)
     # pocketfft transforms in place; the scipy.fft fallback may not
+    u = _fft.dctn(out.values, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
+    u /= out.denom
     u = _fft.idctn(u, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
+    if u is not out.values:
+        np.copyto(out.values, u)
 
     # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs, as one
     # five-point stencil: (c + 4k) u - k (sum of the four neighbours) - rhs
     # with c = 1 + dt*lam and k = dt*d/h^2, a neighbour across the boundary
     # being the mirror ghost, that is the cell itself
-    nb = _neighbour_sum(u, ws.neighbours[:k], ws.residual[:k])
-    applied = ws.residual[:k]
-    for v, nb_s, out, d, lam in zip(u, nb, applied, ds, lams):
-        kk = dt * d / g.h ** 2
+    nb, applied = out.nb, out.applied
+    for x, y, z in out.nb_sums:
+        np.add(x, y, out=z)
+    nb += applied
+    slices = zip(out.slices, out.nb_slices, out.applied_slices, ds, lams)
+    for v, nb_s, applied_s, d, lam in slices:
+        kk = dt * d / ws.h_sq
         nb_s *= kk
-        np.multiply(v, 1.0 + dt * lam + 4.0 * kk, out=out)
+        np.multiply(v, 1.0 + dt * lam + 4.0 * kk, out=applied_s)
     applied -= nb
     ws.flux._edge.fill(0.0)  # zero faces that the neighbour sums overwrote
     applied -= rhs
+    # ||applied|| / ||rhs|| of each slice from their squares (np.einsum, as
+    # np.linalg.norm wakes BLAS threads on every call), floored by _TINY.
+    # When either square overflows, both are taken again on the arrays
+    # divided by max|rhs|: a ratio of finite numbers, or NaN or inf when
+    # applied is not finite.
     if rhs_sq is None:
         rhs_sq = np.einsum("kij,kij->k", rhs, rhs)
     applied_sq = np.einsum("kij,kij->k", applied, applied)
-    for r, a, r2, a2 in zip(rhs, applied, rhs_sq, applied_sq):
-        rel = _relative_residual(r, a, r2, a2)
+    for s, (r2, a2) in enumerate(zip(rhs_sq.tolist(), applied_sq.tolist())):
+        if not math.isfinite(r2 + a2):
+            top = max(float(np.max(np.abs(rhs[s]))), _TINY)
+            r, a = rhs[s] / top, applied[s] / top
+            r2, a2 = np.einsum("ij,ij", r, r), np.einsum("ij,ij", a, a)
+        rel = math.sqrt(a2) / max(math.sqrt(r2), _TINY)
         if not rel <= HELMHOLTZ_TOL:  # NaN fails too
             raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
-    return u
-
-
-def _relative_residual(rhs: np.ndarray, applied: np.ndarray, rhs_sq, applied_sq) -> float:
-    """||applied|| / ||rhs|| from their squares, floored below by _TINY.
-    When either square overflows, both are taken again on the arrays
-    divided by max|rhs|, so the ratio is that of finite numbers, or NaN or
-    inf when applied is not finite.  The squares come from np.einsum, as
-    np.linalg.norm calls BLAS, which wakes its threads on every call."""
-    if not math.isfinite(rhs_sq + applied_sq):
-        top = max(float(np.max(np.abs(rhs))), _TINY)
-        rhs, applied = rhs / top, applied / top
-        rhs_sq, applied_sq = np.einsum("ij,ij", rhs, rhs), np.einsum("ij,ij", applied, applied)
-    return math.sqrt(applied_sq) / max(math.sqrt(rhs_sq), _TINY)
-
-
-def _neighbour_sum(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Sum of the four neighbours of every cell of the C-contiguous stack v
-    into `out`, with mirror ghost cells: the neighbour across the boundary
-    is the cell itself.  The x sums and, through `scratch`, the y sums each
-    take one contiguous call over the flattened stack, which also pairs
-    cells across rows or slices on the boundaries; those cells are then
-    overwritten."""
-    n = v.shape[-1]
-    flat = v.reshape(-1)
-    np.add(flat[: -2 * n], flat[2 * n :], out=out.reshape(-1)[n:-n])
-    np.add(v[:, 0, :], v[:, 1, :], out=out[:, 0, :])
-    np.add(v[:, -2, :], v[:, -1, :], out=out[:, -1, :])
-    np.add(flat[:-2], flat[2:], out=scratch.reshape(-1)[1:-1])
-    np.add(v[:, :, 0], v[:, :, 1], out=scratch[:, :, 0])
-    np.add(v[:, :, -2], v[:, :, -1], out=scratch[:, :, -1])
-    out += scratch
-    return out
 
 
 # ---------------------------------------------------------------------------

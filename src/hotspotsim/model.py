@@ -16,10 +16,9 @@ from .grid import (
     ScalarField,
     VectorField,
     _Faces,
+    _pairs,
     _same_grid,
     _workspace,
-    _y_faces,
-    _y_pairs,
     gradient,
     lp_norm,
 )
@@ -62,9 +61,13 @@ class ModelKind:
 
     def reaction(self, grid: GridSpec, a: np.ndarray, n: np.ndarray):
         """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc.
-        The built-in models' rates are the slots of the grid's workspace
-        right-hand sides, which the next call on that grid overwrites, or a
-        read-only broadcast of a constant."""
+        The rates are the slots of the grid's workspace right-hand sides,
+        which the next call on that grid overwrites, or a read-only
+        broadcast of a constant."""
+        return self._reaction(grid, _workspace(grid).slots, a, n)
+
+    def _reaction(self, grid: GridSpec, slots, a: np.ndarray, n: np.ndarray):
+        """reaction() with the rates in the two (n, n) arrays `slots`."""
         raise NotImplementedError
 
     def velocity(self, A: ScalarField, a_floor: float) -> VectorField:
@@ -99,9 +102,9 @@ class ModelParams(ModelKind):
         if not all(v > 0 for v in vals):
             raise ValueError(f"{POSITIVITY_MESSAGE}; got {self}")
 
-    def reaction(self, grid, a, n):
+    def _reaction(self, grid, slots, a, n):
         # psi * n * a * (1.0 - a) + atilde, in that order
-        rA, one_minus_a = _workspace(grid).rhs
+        rA, one_minus_a = slots
         np.multiply(self.psi, n, out=rA)
         rA *= a
         rA *= np.subtract(1.0, a, out=one_minus_a)
@@ -131,10 +134,10 @@ class ShortParams(ModelKind):
                 f"coefficients eta, a0, abar, chi must be strictly positive; got {self}"
             )
 
-    def reaction(self, grid, a, n):
+    def _reaction(self, grid, slots, a, n):
         # n * a + a0 and -n * a + abar - a0, in that order; rounding is
         # symmetric in sign, so abar - n * a has the bits of -n * a + abar
-        rA, rN = _workspace(grid).rhs
+        rA, rN = slots
         na = np.multiply(n, a, out=rN)
         np.add(na, self.a0, out=rA)
         np.subtract(self.abar, na, out=rN)
@@ -191,10 +194,10 @@ class GeneralModel(ModelKind):
         if not (self.eta > 0 and self.omega > 0):
             raise ValueError("eta and omega must be positive")
 
-    def reaction(self, grid, a, n):
-        rA = plugin_field(grid, "f", self.f, a, n).values
-        rN = plugin_field(grid, "g", self.g, a, n).values
-        return rA, rN, 1.0, self.omega
+    def _reaction(self, grid, slots, a, n):
+        for slot, name, fn in zip(slots, "fg", (self.f, self.g)):
+            np.copyto(slot, plugin_field(grid, name, fn, a, n).values)
+        return *slots, 1.0, self.omega
 
     def velocity(self, A, a_floor):
         # generalized sensitivity: gradient of h(A) sampled at cells
@@ -236,29 +239,21 @@ def _sensitivity_faces(A: ScalarField, chi: float, a_floor: float) -> _Faces:
     diff / h / face mean on each interior face, in place, as chi * diff /
     (h/2) / face sum, the same bits (2 chi would overflow for chi > 9e307).
     The y faces take one contiguous call per operation over the flattened
-    cells (see _Faces), with the face sums in the workspace's y scratch."""
+    cells (see _Faces), with the face sums in the workspace's scratch; a
+    field a step built brings the workspace and its pairs (_views)."""
     if a_floor <= 0:
         raise ValueError("a_floor must be positive")
-    g = A.grid
-    a = A.values
     if A._minimum() < a_floor:
         raise FloorViolation(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
-    ws = _workspace(g)
-    faces = ws.velocity
-    half_h, total = 0.5 * g.h, ws.residual[0]
-    vx, afx = faces.fx[1:-1, :], total[:-1, :]
-    np.add(a[1:, :], a[:-1, :], out=afx)
-    np.subtract(a[1:, :], a[:-1, :], out=vx)
-    vx *= chi
-    vx /= half_h
-    vx /= afx
-    upper, lower = _y_pairs(a)
-    vy, afy = _y_faces(faces.fy), _y_faces(total)
-    np.add(upper, lower, out=afy)
-    np.subtract(upper, lower, out=vy)
-    vy *= chi
-    vy /= half_h
-    vy /= afy
+    ws, (x_hi, x_lo, y_hi, y_lo) = A._views or (_workspace(A.grid), _pairs(A.values))
+    faces, half_h = ws.velocity, ws.half_h
+    for hi, lo, v, total in ((x_hi, x_lo, faces.fx_in, ws.sums[0]),
+                             (y_hi, y_lo, faces.fy_in, ws.sums[1])):
+        np.add(hi, lo, out=total)
+        np.subtract(hi, lo, out=v)
+        v *= chi
+        v /= half_h
+        v /= total
     faces.close()
     return faces
 

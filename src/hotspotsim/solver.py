@@ -12,7 +12,7 @@ failure."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 import numpy as np
@@ -27,9 +27,8 @@ from .grid import (
     _Faces,
     _helmholtz,
     _same_grid,
+    _Stack,
     _workspace,
-    _y_faces,
-    _y_pairs,
     integral,
     read_field,
     cosine_mode,
@@ -61,6 +60,7 @@ class SimState:
     A: ScalarField
     N: ScalarField
     step_count: int = 0
+    _stack: Optional[_Stack] = field(default=None, repr=False, compare=False)  # see run
 
 
 @dataclass(frozen=True)
@@ -176,24 +176,24 @@ def _recipe_fields(config: SimConfig) -> tuple[ScalarField, ScalarField]:
 # Single step
 # ---------------------------------------------------------------------------
 
-def _advective_flux(n: np.ndarray, v: _Faces, scheme: str, flux: _Faces) -> float:
-    """Face flux of the drift term, -N_face * v, with N at faces by
-    arithmetic mean (centered) or by donor cell (upwind), written into the
-    faces `flux`, in the layout of `v` (see _Faces), times -2 or -1; returns
-    h times that power of two, which divides the divergence to the same bits."""
-    fx, vx = flux.fx[1:-1, :], v.fx[1:-1, :]
-    fy, vy = _y_faces(flux.fy), _y_faces(v.fy)
-    upper, lower = _y_pairs(n)
+def _advective_flux(pairs, v: _Faces, scheme: str, flux: _Faces) -> float:
+    """Face flux of the drift term, -N_face * v, with N at faces from its
+    _pairs by arithmetic mean (centered) or by donor cell (upwind), written
+    into the faces `flux`, in the layout of `v` (see _Faces), times -2 or
+    -1; returns h times that power of two, which divides the divergence to
+    the same bits."""
+    x_hi, x_lo, y_hi, y_lo = pairs
+    fx, fy = flux.fx_in, flux.fy_in
     if scheme == "centered":
-        np.add(n[1:, :], n[:-1, :], out=fx)
-        np.add(upper, lower, out=fy)
+        np.add(x_hi, x_lo, out=fx)
+        np.add(y_hi, y_lo, out=fy)
     else:
-        np.copyto(fx, n[1:, :])
-        np.copyto(fx, n[:-1, :], where=vx >= 0)
-        np.copyto(fy, upper)
-        np.copyto(fy, lower, where=vy >= 0)
-    fx *= vx
-    fy *= vy
+        np.copyto(fx, x_hi)
+        np.copyto(fx, x_lo, where=v.fx_in >= 0)
+        np.copyto(fy, y_hi)
+        np.copyto(fy, y_lo, where=v.fy_in >= 0)
+    fx *= v.fx_in
+    fy *= v.fy_in
     flux.close()
     return (-2.0 if scheme == "centered" else -1.0) * flux.grid.h
 
@@ -206,62 +206,62 @@ def step(
     velocity: VectorField | _Faces | None = None,
 ) -> SimState:
     """One IMEX update: explicit chemotactic transport and nonlinear
-    reaction, then implicit Helmholtz solves for diffusion and linear decay.
-    The update runs on the grid's workspace buffers; only its result is
-    built into fields, which keep the minima the guards took (so they must
-    not be changed in place) and whose arrays are two slices of one new
-    array.  `velocity` is the chemotactic face velocity of state.A, a
-    VectorField or the workspace faces that ModelKind._face_velocity fills;
-    when None, the step computes it with `sensitivity_floor(A, bounds)`."""
+    reaction, then implicit Helmholtz solves for diffusion and linear decay,
+    on the grid's workspace buffers.  The result's fields keep the minima
+    the guards took (so they must not be changed in place) and are the
+    slices of one new array, or in run() of its other state stack.
+    `velocity` is the chemotactic face velocity of state.A, a VectorField
+    or the workspace faces that ModelKind._face_velocity fills; when None,
+    the step computes it with `sensitivity_floor(A, bounds)`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
     A, N = state.A, state.N
     g = _same_grid(A, N)
-    a, n = A.values, N.values
     # the reaction's preconditions; N may undershoot 0 by guard_tol
     if A._minimum() <= 0:
         raise NonPositiveA("attractiveness must be positive everywhere")
     if N._minimum() < -config.guard_tol:
         raise NegativeN(f"criminal density fell below -{config.guard_tol}")
+    src = state._stack
+    if src is None:
+        # the new stack holds the state until the solve overwrites it
+        src = _Stack(_workspace(g), np.stack((A.values, N.values)))
+    dst, ws = src.other or src, src.ws  # a run's other stack, or the new one
+    a, n = src.slices
 
-    rA, rN, lam_A, lam_N = params.reaction(g, a, n)
+    rA, rN, lam_A, lam_N = params._reaction(g, ws.slots, a, n)
     if velocity is None:
         velocity = params._face_velocity(A, sensitivity_floor(A, bounds))
     _same_grid(A, velocity)
-    ws = _workspace(g)
     if isinstance(velocity, VectorField):
         velocity = ws.velocity.assign(velocity)
-    divisor = _advective_flux(n, velocity, config.flux_scheme, ws.flux)
+    divisor = _advective_flux(src.pairs[1], velocity, config.flux_scheme, ws.flux)
 
-    # A + dt*rA and N + dt*(div(flux) + rN), in the workspace's rhs stack,
-    # which holds the built-in models' rates
+    # A + dt*rA and N + dt*(div(flux) + rN) in the workspace's rhs stack,
+    # whose slots hold the rates (rN may be a read-only broadcast)
     rhs = ws.rhs
-    a_exp, n_exp = rhs
-    np.multiply(rA, dt, out=a_exp)
-    a_exp += a
-    np.add(ws.flux.divergence(*ws.residual, divisor), rN, out=n_exp)
-    n_exp *= dt
-    n_exp += n
+    np.add(ws.flux.divergence(*ws.scratch, divisor), rN, out=ws.slots[1])
+    rhs *= dt
+    rhs += src.values
     # the residual check's squared norms; one not finite may be an overflow
     rhs_sq = np.einsum("kij,kij->k", rhs, rhs)
     if not math.isfinite(rhs_sq[0] + rhs_sq[1]) and not np.isfinite(rhs).all():
         raise NonFinite("explicit stage produced non-finite values")
 
     # a solve that passes its residual check has a finite solution
-    u = _helmholtz(g, rhs, (params.eta, 1.0), (lam_A, lam_N), dt, rhs_sq)
-    a_min, n_min = _guard(u[0], u[1], config, bounds)
-    A_new = ScalarField._checked(g, u[0], a_min)
-    N_new = ScalarField._checked(g, u[1], n_min)
-    return SimState(state.t + dt, A_new, N_new, state.step_count + 1)
+    _helmholtz(dst, rhs, (params.eta, 1.0), (lam_A, lam_N), dt, rhs_sq)
+    a_min, n_min = _guard(dst.values, config, bounds)
+    owned = dst if dst is not src else None
+    return SimState(state.t + dt, *dst.fields(g, a_min, n_min), state.step_count + 1, owned)
 
 
 def _guard(
-    a: np.ndarray, n: np.ndarray, config: SimConfig, bounds: Optional[DerivedBounds]
+    u: np.ndarray, config: SimConfig, bounds: Optional[DerivedBounds]
 ) -> tuple[float, float]:
-    """The positivity guards on the finite values a, n of A, N; returns their minima."""
+    """The positivity guards on the finite (2, n, n) stack u of A, N; returns their minima."""
     tol = config.guard_tol
-    a_min, n_min = float(a.min()), float(n.min())
+    a_min, n_min = np.minimum.reduce(u, axis=(1, 2)).tolist()
     if bounds is not None:
         span = bounds.a_max - bounds.a_min
         floor = bounds.a_min - tol * span
@@ -302,25 +302,40 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     arrives, so besides the state the loop holds the fields of at most one
     earlier output; RunResult.snapshots holds them all when
     `keep_snapshots` is true and stays empty otherwise."""
-    state = SimState(0.0, *build_initial(config))
+    g = config.grid
+    # two state stacks in turn: an attempt reads the state's and writes the
+    # other, so a rejected attempt leaves the state as it was
+    values = np.stack([f.values for f in build_initial(config)])
+    first = _Stack.pair(_workspace(g), values)
+    state = SimState(0.0, *first.fields(g, None, None), 0, first)
+    del first, values  # the state alone refers to its stack (see output)
     params = config.params
     # only the main model has invariant-region bounds; the floor they set,
     # the exact mass law and the energy balances hold for that model alone
     bounds = params.bounds(state.A, state.N)
     a_floor = sensitivity_floor(state.A, bounds)
     n0_mass = integral(state.N)
-    area = config.grid.area
+    area = g.area
 
     tol = config.guard_tol
     records, snapshots = [], []
     window, terms = [], []  # of the last outputs; see _slide_window
 
     def output() -> None:
+        # the record, the snapshot and the energy window keep the state's
+        # stack, which no later step writes: the dead stack goes before the
+        # analysis, so that it holds only the state and the last output,
+        # and the steps go on with two new stacks
+        stack = state._stack  # None if solver.step gave a state of its own
+        if stack is not None:
+            stack.other = None
         records.append(analysis.diagnostics_record(state, params, bounds, n0_mass, tol))
         if keep_snapshots:
             snapshots.append((state.t, state.A, state.N))
         if bounds is not None:
             _slide_window(window, terms, state, records, params)
+        if stack is not None:
+            stack.other = _Stack.pair(stack.ws, np.empty_like(stack.values))
 
     output()
     outcome = Outcome("completed", config.t_end)

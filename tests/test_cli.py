@@ -127,6 +127,69 @@ class TestCheck:
         assert rc == 1
 
 
+def _flags(command: str, values: dict) -> list:
+    return [command] + [tok for flag, v in values.items() for tok in (f"--{flag}", v)]
+
+
+CHECK_FLAGS = {"eta": "0.1", "psi": "0.0046667", "chi": "2", "atilde": "0.7",
+               "amin": "0.7", "amax": "1.0", "n1max": "1", "L": "1"}
+TABLE_FLAGS = {"psi": "0.0046667", "area": "1", "eta-list": "0.1"}
+STEADY_FLAGS = {"psi": "0.0046667", "atilde": "0.7"}
+
+
+class TestNumericFlags:
+    """Every float flag of check, table and steady takes a finite float, and
+    what the commands compute from accepted flags never ends in a traceback
+    or in a number that is not JSON."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
+        return errors[0]
+
+    @pytest.mark.parametrize("argv", [
+        # a ZeroDivisionError traceback
+        _flags("check", {**CHECK_FLAGS, "mu": "0", "K": "1"}),
+        # an OverflowError traceback
+        _flags("check", {**CHECK_FLAGS, "psi": "1e308", "chi": "1e308"}),
+        # an UnresolvableMode traceback
+        ["verify", "--max-mode", "20", "--n", "32", "--samples", "1"],
+        # exit 0, printing Infinity, which is not JSON
+        _flags("check", {**CHECK_FLAGS, "eta": "inf"}),
+        # exit 0, printing 0.1,nan
+        _flags("table", {**TABLE_FLAGS, "psi": "nan"}),
+        # exit 0, printing gamma = inf
+        _flags("table", {**TABLE_FLAGS, "psi": "1e-320"}),
+        # exit 0, printing a row of nan or of inf
+        _flags("table", {**TABLE_FLAGS, "eta-list": "0.1,nan"}),
+        _flags("table", {**TABLE_FLAGS, "eta-list": "1e400"}),
+    ], ids=["check-mu-0", "check-overflow", "verify-max-mode", "check-eta-inf",
+            "table-psi-nan", "table-gamma-overflow", "table-eta-nan", "table-eta-inf"])
+    def test_edge_ends_as_one_error_line(self, capsys, argv):
+        self.assert_one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize("command, flag", [
+        *[("check", f) for f in [*CHECK_FLAGS, "mu", "K"]],
+        ("table", "psi"), ("table", "area"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_is_rejected(self, capsys, command, flag, value):
+        flags = {"check": {**CHECK_FLAGS, "mu": "1.2", "K": "12"},
+                 "table": TABLE_FLAGS}[command]
+        line = self.assert_one_error_line(capsys, _flags(command, {**flags, flag: value}))
+        assert f"--{flag}" in line
+
+    @pytest.mark.parametrize("flag", sorted(STEADY_FLAGS))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_steady_flag_is_one_error_line(self, capsys, flag, value):
+        # steady_state rejects them (see TestSteady)
+        self.assert_one_error_line(capsys, _flags("steady", {**STEADY_FLAGS, flag: value}))
+
+
 class TestTable:
     def test_reference_table(self, capsys):
         rc = cli.main([
@@ -494,23 +557,31 @@ class TestSnapshotEmission:
         assert cli._snapshot_tags(times) == tags
 
 
+def _count_step_calls(monkeypatch) -> dict:
+    """Count the calls of solver.step through the module that return and
+    that raise, as the benchmark counts the returning ones
+    (perfbench/child.py) for its cell-steps per second."""
+    counts = {"accepted": 0, "rejected": 0}
+    real = solver.step
+
+    def counting(*args, **kwargs):
+        try:
+            new = real(*args, **kwargs)
+        except Exception:
+            counts["rejected"] += 1
+            raise
+        counts["accepted"] += 1
+        return new
+
+    monkeypatch.setattr(solver, "step", counting)
+    return counts
+
+
 class TestStepCounts:
     def test_outcome_reports_accepted_and_rejected_steps(
         self, tmp_path, capsys, monkeypatch
     ):
-        counts = {"accepted": 0, "rejected": 0}
-        real = solver.step
-
-        def counting(*args, **kwargs):
-            try:
-                new = real(*args, **kwargs)
-            except (solver.PositivityBreach, solver.NonFinite):
-                counts["rejected"] += 1
-                raise
-            counts["accepted"] += 1
-            return new
-
-        monkeypatch.setattr(solver, "step", counting)
+        counts = _count_step_calls(monkeypatch)
         cfg = tmp_path / "run.json"
         write_config(
             cfg,
@@ -530,6 +601,17 @@ class TestStepCounts:
         assert doc["steps_rejected"] == counts["rejected"]
         assert cli.main(["simulate", str(cfg)]) == 3
         assert (tmp_path / "out" / "outcome.json").read_bytes() == first
+
+    def test_main_model_run_steps_once_per_accepted_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        counts = _count_step_calls(monkeypatch)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "outputs.snapshots": False})
+        assert cli.main(["simulate", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "outcome.json").read_text())
+        assert doc["steps_accepted"] == counts["accepted"] > 0
+        assert doc["steps_rejected"] == counts["rejected"]
 
 
 class TestEmissionErrors:

@@ -191,7 +191,7 @@ class TestStep:
         A = ScalarField(grid, np.full((32, 32), 0.7))  # below guarded floor
         N = ScalarField(grid, np.ones((32, 32)))
         with pytest.raises(PositivityBreach):
-            solver._guard(A.values, N.values, cfg, bounds)
+            solver._guard(np.stack((A.values, N.values)), cfg, bounds)
 
     def test_guard_rejects_negative_density(self):
         grid = GridSpec(L=1.0, n=32)
@@ -199,7 +199,7 @@ class TestStep:
         A = ScalarField(grid, np.ones((32, 32)))
         N = ScalarField(grid, np.full((32, 32), -1e-3))
         with pytest.raises(PositivityBreach):
-            solver._guard(A.values, N.values, cfg, None)
+            solver._guard(np.stack((A.values, N.values)), cfg, None)
 
     def test_rejects_nonpositive_dt(self):
         cfg = small_config()
@@ -1137,3 +1137,130 @@ class TestStatesOwnTheirArrays:
         assert result.steps_rejected > 0
         # one per accepted state and one for the state the run stops at
         assert len(calls) == result.steps_accepted + 1
+
+
+class TestRunStacks:
+    """run() steps between two state stacks that it allocates once; every
+    attempt still goes through solver.step, and what it hands out owns its
+    arrays."""
+
+    @staticmethod
+    def config(model, scheme, tmp_path, **overrides):
+        grid = GridSpec(L=1.0, n=16)
+        params = _reference_params(model)
+        if model == "general":
+            # no steady state: the wavy fields from files
+            state = _wavy_state(grid)
+            write_field(tmp_path / "A.field", state.A)
+            write_field(tmp_path / "N.field", state.N)
+            ic = InitialCondition("file", path_A=str(tmp_path / "A.field"),
+                                  path_N=str(tmp_path / "N.field"))
+        else:
+            ic = InitialCondition("perturbed_steady", amplitude=0.05, mode_j=2)
+        base = dict(grid=grid, params=params, flux_scheme=scheme, ic=ic,
+                    t_end=0.02, output_every=0.005)
+        return small_config(**{**base, **overrides})
+
+    @staticmethod
+    def recorded_run(monkeypatch, cfg):
+        """run(cfg) with every attempt recorded: (dt, the state's arrays
+        before, A and N after or the exception class raised)."""
+        attempts = []
+        real = solver.step
+
+        def recording(state, dt, config, bounds=None, velocity=None):
+            before = (state.A.values.copy(), state.N.values.copy())
+            try:
+                new = real(state, dt, config, bounds, velocity)
+            except Exception as exc:
+                # a rejected attempt leaves the current stack as it was
+                assert state.A.values.tobytes() == before[0].tobytes()
+                assert state.N.values.tobytes() == before[1].tobytes()
+                attempts.append((dt, type(exc)))
+                raise
+            attempts.append((dt, (new.A.values.copy(), new.N.values.copy(), new)))
+            return new
+
+        monkeypatch.setattr(solver, "step", recording)
+        return run(cfg), attempts
+
+    # the upwind flux keeps N >= 0, so only a centered run halves
+    @pytest.mark.parametrize("model, scheme", [
+        (model, scheme) for model in ("main", "short", "general")
+        for scheme in ("centered", "upwind")
+    ] + [("short-halving", "centered")])
+    def test_run_equals_a_chain_of_public_steps(self, monkeypatch, tmp_path, model, scheme):
+        if model == "short-halving":
+            cfg = self.config(
+                "short", scheme, tmp_path, t_end=2.0, output_every=0.16,
+                params=ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=4.0),
+                ic=InitialCondition("perturbed_steady", amplitude=0.5, mode_j=2, mode_k=1),
+            )
+        else:
+            cfg = self.config(model, scheme, tmp_path)
+        result, attempts = self.recorded_run(monkeypatch, cfg)
+        assert result.steps_accepted + result.steps_rejected == len(attempts)
+        if model == "short-halving":
+            assert result.outcome.kind == "blowup_suspected"
+            assert result.steps_rejected > 0
+        else:
+            assert result.outcome.kind == "completed"
+
+        # the same dt sequence through the public step, from the initial state
+        monkeypatch.undo()
+        A, N = build_initial(cfg)
+        state = SimState(0.0, A, N)
+        bounds = cfg.params.bounds(A, N)
+        a_floor = sensitivity_floor(A, bounds)
+        stacks = set()
+        for dt, got in attempts:
+            velocity = cfg.params.velocity(state.A, a_floor)
+            if isinstance(got, type):
+                with pytest.raises(got):
+                    step(state, dt, cfg, bounds, velocity)
+                continue
+            state = step(state, dt, cfg, bounds, velocity)
+            assert state.A.values.tobytes() == got[0].tobytes()
+            assert state.N.values.tobytes() == got[1].tobytes()
+            stacks.add(id(got[2].A.values.base))
+        # two stacks in turn, and two new ones after each output
+        assert len(stacks) <= 2 * len(result.records)
+
+    @pytest.mark.parametrize("model", ["main", "short"])
+    def test_no_field_handed_out_shares_memory(self, monkeypatch, tmp_path, model):
+        # an output keeps the stack of its state, which no later step writes
+        cfg = self.config(model, "centered", tmp_path)
+        result, attempts = self.recorded_run(monkeypatch, cfg)
+        states = [got for _, got in attempts if not isinstance(got, type)]
+        ws = grid_module._workspace(cfg.grid)
+        buffers = [ws.rhs, ws.denom, ws.residual, ws.velocity._all, ws.flux._all]
+        arrays = [f.values for _, A, N in result.snapshots for f in (A, N)]
+        assert len(arrays) == 2 * len(result.records) == 10
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:] + buffers:
+                assert not np.shares_memory(x, y)
+        for t, A, N in result.snapshots[1:]:
+            k = next(k for k, got in enumerate(states) if got[2].t == t)
+            assert A.values.tobytes() == states[k][0].tobytes()
+            assert N.values.tobytes() == states[k][1].tobytes()
+            for later in states[k + 1:]:
+                assert not np.shares_memory(A.values, later[2].A.values.base)
+
+    def test_peak_memory_is_flat_in_the_number_of_steps(self):
+        n = 64
+        peaks = []
+        for steps in (20, 200):
+            cfg = small_config(grid=GridSpec(L=1.0, n=n), params=_reference_params("short"),
+                               ic=InitialCondition("perturbed_steady", amplitude=0.05,
+                                                   mode_j=2),
+                               t_end=steps * 1e-5, dt_init=1e-5, dt_max=1e-5,
+                               output_every=steps * 1e-5)
+            run(cfg, keep_snapshots=False)  # the workspace is cached from here on
+            tracemalloc.start()
+            try:
+                result = run(cfg, keep_snapshots=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.steps_accepted == steps
+        assert abs(peaks[1] - peaks[0]) < n * n * 8
