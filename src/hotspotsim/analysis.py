@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -316,22 +316,6 @@ class EnergyResiduals:
     id3_sign_ok: bool  # omega int(log N - N + 1) <= 0
 
 
-class SnapshotTerms:
-    """The scalars of one output that the energy balances take in every
-    window the output sits in (up to three), computed once, when the
-    output arrives, so its fields need not be kept for them: ||A||_2^2,
-    ||grad A||_2^2, the Boltzmann entropy of N and ||N||_2^2.  A known
-    ||grad A||_2^2, such as a diagnostics record's, may be given."""
-
-    def __init__(
-        self, A: ScalarField, N: ScalarField, grad_A_l2sq: Optional[float] = None
-    ):
-        self.A_l2sq = g.lp_norm(A, 2) ** 2
-        self.grad_A_l2sq = g.grad_l2sq(A) if grad_A_l2sq is None else grad_A_l2sq
-        self.entropy = boltzmann_entropy(N)
-        self.N_l2sq = g.lp_norm(N, 2) ** 2
-
-
 def _grad_dot(G, F) -> float:
     """int grad(u) . F dx over interior faces, from G = grad(u); the x-face
     sum is taken before the y-face product is built."""
@@ -354,75 +338,82 @@ def _weighted_grad_dot(w: np.ndarray, G, F) -> float:
     return float((x + np.sum(y)) * h2)
 
 
-def energy_residuals(
-    window, params: ModelParams, *, terms: Optional[Sequence[SnapshotTerms]] = None
-) -> EnergyResiduals:
-    """Absolute defects of the four energy balances on a uniformly spaced
-    window of three consecutive outputs ((t-d, A, N), (t, A, N), (t+d, A, N)),
-    with time derivatives by central differences at the middle time.
-    `terms` are the three outputs' SnapshotTerms, of outputs with N > 0,
-    when the caller keeps them; then only the middle output's fields are
-    read, and the outer two may be None."""
-    (t0, _, _), (t1, A1, N1), (t2, _, _) = window
-    d0, d1 = t1 - t0, t2 - t1
-    if d0 <= 0 or abs(d1 - d0) > 1e-9 * max(d0, d1):
-        raise ValueError("window must be uniformly spaced in time")
-    checked = window if terms is None else window[1:2]
-    if min(np.min(N.values) for _, _, N in checked) <= 0:
-        raise NonPositiveN("the entropy balance needs N > 0 on the whole window")
-    if terms is None:
-        terms = [SnapshotTerms(A, N) for _, A, N in window]
-    s0, s1, s2 = terms
-    two_d = t2 - t0
-    area_w = A1.grid.h ** 2
-
-    a, n = A1.values, N1.values
+def _output_terms(
+    A: ScalarField, N: ScalarField, grad_A_l2sq: float, params: ModelParams, middle: bool
+):
+    """The scalars that the energy balances take from one output of N > 0,
+    so that its fields need not be kept for them: the outer terms, read in
+    every window the output sits in, and, for the `middle` output of a
+    window, the terms at its time (else None).  The outer terms are
+    ||A||_2^2, ||grad A||_2^2 (given, as a diagnostics record has it), the
+    Boltzmann entropy of N and ||N||_2^2."""
+    outer = (g.lp_norm(A, 2) ** 2, grad_A_l2sq, boltzmann_entropy(N), g.lp_norm(N, 2) ** 2)
+    if not middle:
+        return outer, None
+    area_w = A.grid.h ** 2
+    a, n = A.values, N.values
     psi, eta, omega = params.psi, params.eta, params.omega
-    atilde, chi = params.atilde, params.chi
 
     # each integral is taken, and its n^2 temporaries dropped, before the
     # arrays of the next are built, so few are alive at once; every one
     # keeps its operations and their order
-    d_a2 = (s2.A_l2sq - s0.A_l2sq) / two_d
-    r1 = abs(
-        0.5 * d_a2
-        + s1.A_l2sq
-        + eta * s1.grad_A_l2sq
-        - psi * float(np.sum(n * a ** 2 * (1.0 - a))) * area_w
-        - atilde * g.integral(A1)
-    )
+    reaction_a = psi * float(np.sum(n * a ** 2 * (1.0 - a))) * area_w
+    source_a = params.atilde * g.integral(A)
 
-    d_grad = (s2.grad_A_l2sq - s0.grad_A_l2sq) / two_d
-    lap_a = g.laplacian(A1).values
-    r2 = abs(
-        0.5 * d_grad
-        + s1.grad_A_l2sq
-        + eta * (float(np.sum(lap_a ** 2)) * area_w)
-        + psi * float(np.sum(n * a * (1.0 - a) * lap_a)) * area_w
-    )
+    lap_a = g.laplacian(A).values
+    diffusion_grad = eta * (float(np.sum(lap_a ** 2)) * area_w)
+    reaction_grad = psi * float(np.sum(n * a * (1.0 - a) * lap_a)) * area_w
     del lap_a
 
     id3_rhs = omega * float(np.sum(np.log(n) - n + 1.0)) * area_w
-    # the gradient of N1 serves ||grad N1||_2^2, the fisher term and both
-    # dot products; N1 > 0 was checked above
-    grad_n = g.gradient(N1)
+    # the gradient of N serves ||grad N||_2^2, the fisher term and both
+    # dot products
+    grad_n = g.gradient(N)
     grad_n_l2sq = float(np.sum(g._grad_sq_cells(grad_n))) * area_w
     fisher_n = g._fisher(grad_n, n)
-    theta_grad = sensitivity_grad(A1, chi, sensitivity_floor(A1))
+    theta_grad = sensitivity_grad(A, params.chi, sensitivity_floor(A))
     theta_dot = _grad_dot(grad_n, theta_grad)
-    d_ent = (s2.entropy - s0.entropy) / two_d
-    r3 = abs(d_ent + omega * s1.entropy + fisher_n - theta_dot - id3_rhs)
+    drift_n = _weighted_grad_dot(n, grad_n, theta_grad)
+    source_n = omega * g.integral(N)
+    return outer, (reaction_a, source_a, diffusion_grad, reaction_grad, fisher_n,
+                   theta_dot, id3_rhs, grad_n_l2sq, drift_n, source_n)
 
-    d_n2 = (s2.N_l2sq - s0.N_l2sq) / two_d
-    r4 = abs(
-        0.5 * d_n2
-        + omega * s1.N_l2sq
-        + grad_n_l2sq
-        - _weighted_grad_dot(n, grad_n, theta_grad)
-        - omega * g.integral(N1)
+
+def _energy_balances(times, terms, params: ModelParams) -> EnergyResiduals:
+    """The four balances' absolute defects at the middle of three outputs
+    at `times`, from their _output_terms, with the time derivatives by
+    central differences."""
+    t0, _, t2 = times
+    (s0, _), (s1, middle), (s2, _) = terms
+    two_d = t2 - t0
+    d_a2, d_grad, d_ent, d_n2 = ((late - early) / two_d for early, late in zip(s0, s2))
+    a_l2sq, grad_a_l2sq, entropy, n_l2sq = s1
+    (reaction_a, source_a, diffusion_grad, reaction_grad, fisher_n,
+     theta_dot, id3_rhs, grad_n_l2sq, drift_n, source_n) = middle
+    eta, omega = params.eta, params.omega
+    return EnergyResiduals(
+        r1=abs(0.5 * d_a2 + a_l2sq + eta * grad_a_l2sq - reaction_a - source_a),
+        r2=abs(0.5 * d_grad + grad_a_l2sq + diffusion_grad + reaction_grad),
+        r3=abs(d_ent + omega * entropy + fisher_n - theta_dot - id3_rhs),
+        r4=abs(0.5 * d_n2 + omega * n_l2sq + grad_n_l2sq - drift_n - source_n),
+        id3_sign_ok=id3_rhs <= 1e-12,
     )
 
-    return EnergyResiduals(r1=r1, r2=r2, r3=r3, r4=r4, id3_sign_ok=id3_rhs <= 1e-12)
+
+def energy_residuals(window, params: ModelParams) -> EnergyResiduals:
+    """Absolute defects of the four energy balances on a uniformly spaced
+    window of three consecutive outputs ((t-d, A, N), (t, A, N), (t+d, A, N)),
+    with time derivatives by central differences at the middle time; run()
+    takes the same _output_terms of each output and combines them alike."""
+    (t0, _, _), (t1, _, _), (t2, _, _) = window
+    d0, d1 = t1 - t0, t2 - t1
+    if d0 <= 0 or abs(d1 - d0) > 1e-9 * max(d0, d1):
+        raise ValueError("window must be uniformly spaced in time")
+    if min(np.min(N.values) for _, _, N in window) <= 0:
+        raise NonPositiveN("the entropy balance needs N > 0 on the whole window")
+    terms = [_output_terms(A, N, g.grad_l2sq(A), params, middle=k == 1)
+             for k, (_, A, N) in enumerate(window)]
+    return _energy_balances((t0, t1, t2), terms, params)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def _positive_float(text: str) -> float:
     return float(text)
 
 
+def _positive_int(text: str) -> int:
+    """A flag value that is an integer > 0 (argparse reports a ValueError)."""
+    if not int(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be an integer > 0, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     # exit 1 (not argparse's default 2) on bad flags
     def error(self, message):
@@ -432,7 +439,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="sampled functional-inequality probes")
     p_ver.add_argument("--n", type=int, default=64)
-    p_ver.add_argument("--samples", type=int, default=100)
+    p_ver.add_argument("--samples", type=_positive_int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--max-mode", type=int, default=4)
     p_ver.add_argument("--amplitude", type=_positive_float, default=0.02)

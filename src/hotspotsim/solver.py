@@ -298,17 +298,17 @@ _SNAP = 1e-12
 
 def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     """Integrate to t_end or termination; deterministic given the config.
-    Each output's energy residuals are filled in when the next output
-    arrives, so besides the state the loop holds the fields of at most one
-    earlier output; RunResult.snapshots holds them all when
-    `keep_snapshots` is true and stays empty otherwise."""
+    Each output is reduced, when it arrives, to the scalars of its energy
+    windows, and its residuals are filled in when the next output arrives,
+    so the loop holds the fields of no earlier output; RunResult.snapshots
+    holds copies of them all when `keep_snapshots` is true and stays empty
+    otherwise."""
     g = config.grid
-    # two state stacks in turn: an attempt reads the state's and writes the
-    # other, so a rejected attempt leaves the state as it was
-    values = np.stack([f.values for f in build_initial(config)])
-    first = _Stack.pair(_workspace(g), values)
+    # two state stacks in turn for the whole run: an attempt reads the
+    # state's and writes the other, so a rejected attempt leaves the state
+    # as it was
+    first = _Stack.pair(_workspace(g), np.stack([f.values for f in build_initial(config)]))
     state = SimState(0.0, *first.fields(g, None, None), 0, first)
-    del first, values  # the state alone refers to its stack (see output)
     params = config.params
     # only the main model has invariant-region bounds; the floor they set,
     # the exact mass law and the energy balances hold for that model alone
@@ -319,23 +319,18 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
 
     tol = config.guard_tol
     records, snapshots = [], []
-    window, terms = [], []  # of the last outputs; see _slide_window
+    window = []  # (t, scalars) of the last outputs; see _slide_window
 
     def output() -> None:
-        # the record, the snapshot and the energy window keep the state's
-        # stack, which no later step writes: the dead stack goes before the
-        # analysis, so that it holds only the state and the last output,
-        # and the steps go on with two new stacks
-        stack = state._stack  # None if solver.step gave a state of its own
-        if stack is not None:
-            stack.other = None
         records.append(analysis.diagnostics_record(state, params, bounds, n0_mass, tol))
         if keep_snapshots:
-            snapshots.append((state.t, state.A, state.N))
+            # a copy: the steps go on writing the state's stack
+            values = np.stack((state.A.values, state.N.values))
+            snapshots.append((state.t, ScalarField._checked(g, values[0], None),
+                              ScalarField._checked(g, values[1], None)))
         if bounds is not None:
-            _slide_window(window, terms, state, records, params)
-        if stack is not None:
-            stack.other = _Stack.pair(stack.ws, np.empty_like(stack.values))
+            last = state.t >= config.t_end - _SNAP
+            _slide_window(window, state, records, params, last)
 
     output()
     outcome = Outcome("completed", config.t_end)
@@ -404,26 +399,26 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     )
 
 
-def _slide_window(window, terms, state: SimState, records, params) -> None:
+def _slide_window(window, state: SimState, records, params, last: bool) -> None:
     """Add the output `state`, whose record is the last of `records`, to
-    `window`, the (t, A, N) of the last outputs, and its SnapshotTerms, or
-    None where N > 0 fails, to `terms`.  It completes the three-output
-    window of the output before it, whose energy residuals are filled in
-    where that window is uniformly spaced and every terms is known.  Only
-    the newest output keeps its fields: no later window reads the others'."""
+    `window`, the (t, scalars) of the last outputs, with its
+    analysis._output_terms, or None where N > 0 fails.  The middle terms
+    are taken for an output that may be a window's middle: not the first,
+    nor the `last`, nor one of A <= 0, after which the next step's velocity
+    ends the run.  The output completes the three-output window of the
+    output before it, whose energy residuals are filled in where that
+    window is uniformly spaced and N > 0 holds on all three."""
     rec = records[-1]
-    window.append((state.t, state.A, state.N))
-    terms.append(
-        analysis.SnapshotTerms(state.A, state.N, rec.grad_A_l2sq)
+    middle = bool(window) and not last and rec.minA > 0
+    window.append((
+        state.t,
+        analysis._output_terms(state.A, state.N, rec.grad_A_l2sq, params, middle)
         if rec.minN > 0
-        else None
-    )
+        else None,
+    ))
     if len(window) == 3:
-        t0, t1, t2 = (t for t, _, _ in window)
+        (t0, s0), (t1, s1), (t2, s2) = window
         uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
-        if uniform and None not in terms:
-            residuals = analysis.energy_residuals(window, params, terms=terms)
-            records[-2].residuals = residuals
-        del window[0], terms[0]
-    if len(window) == 2:
-        window[0] = (window[0][0], None, None)
+        if uniform and None not in (s0, s1, s2):
+            records[-2].residuals = analysis._energy_balances((t0, t1, t2), (s0, s1, s2), params)
+        del window[0]

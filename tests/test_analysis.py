@@ -355,22 +355,20 @@ class TestEnergyResiduals:
 
     def test_window_peak_memory(self):
         # each face family's means and products are built and dropped in
-        # turn, so a window allocates about 6 n^2 fields beyond its inputs;
-        # with both families' face means alive together it took 8.5
+        # turn, so a window's middle output allocates about 6 n^2 fields
+        # beyond its inputs; with both families' face means alive together
+        # it took 8.5
         n = 128
         grid = GridSpec(L=1.0, n=n)
         wave, _ = sample_cosine_field(3, 4, 0.05, grid)
-        window = [
-            (t, ScalarField(grid, 0.8 + (1 + t) * wave.values),
-             ScalarField(grid, 1.0 + (1 - t) * wave.values.T.copy()))
-            for t in (0.0, 0.1, 0.2)
-        ]
-        terms = [analysis.SnapshotTerms(A, N) for _, A, N in window]
-        want = energy_residuals(window, PARAMS, terms=terms)  # builds the workspace
+        A = ScalarField(grid, 0.8 + 1.1 * wave.values)
+        N = ScalarField(grid, 1.0 + 0.9 * wave.values.T.copy())
+        grad = g.grad_l2sq(A)
+        want = analysis._output_terms(A, N, grad, PARAMS, True)  # builds the workspace
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            got = energy_residuals(window, PARAMS, terms=terms)
+            got = analysis._output_terms(A, N, grad, PARAMS, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

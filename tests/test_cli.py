@@ -167,8 +167,12 @@ class TestNumericFlags:
         # exit 0, printing a row of nan or of inf
         _flags("table", {**TABLE_FLAGS, "eta-list": "0.1,nan"}),
         _flags("table", {**TABLE_FLAGS, "eta-list": "1e400"}),
+        # exit 0 with "no counterexample found", having sampled nothing
+        ["verify", "--n", "32", "--samples", "0"],
+        ["verify", "--n", "32", "--samples", "-1"],
     ], ids=["check-mu-0", "check-overflow", "verify-max-mode", "check-eta-inf",
-            "table-psi-nan", "table-gamma-overflow", "table-eta-nan", "table-eta-inf"])
+            "table-psi-nan", "table-gamma-overflow", "table-eta-nan", "table-eta-inf",
+            "verify-samples-0", "verify-samples-negative"])
     def test_edge_ends_as_one_error_line(self, capsys, argv):
         self.assert_one_error_line(capsys, argv)
 

@@ -1,9 +1,10 @@
 """Golden digests: the SHA-256 of `diagnostics.csv`, `outcome.json` and the
-last N snapshot of four tiny `hotspot simulate` runs, the main and the Short
+last N snapshot of five tiny `hotspot simulate` runs, the main and the Short
 model each with the centered and the upwind flux, one of them halving its
-step down to `blowup_suspected` (exit 3).  A change that alters one output
-bit fails here.  A change that alters bits on purpose regenerates the file
-and says so:
+step down to `blowup_suspected` (exit 3), and one main-model run whose last
+output interval is short, so its last energy window is skipped.  A change
+that alters one output bit fails here.  A change that alters bits on
+purpose regenerates the file and says so:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,6 +29,10 @@ CASES = {
     "main-centered": (MAIN, "centered",
                       {"t_end": 0.03, "dt_init": 1e-3, "output_every": 0.01},
                       {"recipe": "perturbed_steady", "amplitude": 0.01}, 0),
+    # the last output interval is short: the window of t = 0.03 is skipped
+    "main-centered-short-last": (MAIN, "centered",
+                                 {"t_end": 0.035, "dt_init": 1e-3, "output_every": 0.01},
+                                 {"recipe": "perturbed_steady", "amplitude": 0.01}, 0),
     "main-upwind": (MAIN, "upwind",
                     {"t_end": 0.03, "dt_init": 1e-3, "output_every": 0.01},
                     {"recipe": "perturbed_steady", "amplitude": 0.05,

@@ -269,6 +269,23 @@ def _bits(res):
     return np.array([res.r1, res.r2, res.r3, res.r4]).tobytes(), res.id3_sign_ok
 
 
+def _window_by_window(result):
+    """The _bits of each record's residuals as energy_residuals gives them on
+    its window of the result's snapshots, or None where none is taken."""
+    snaps = result.snapshots
+    expected = [None]
+    for i in range(1, len(snaps) - 1):
+        (t0, _, _), (t1, _, _), (t2, _, _) = snaps[i - 1 : i + 2]
+        uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
+        expected.append(
+            _bits(analysis.energy_residuals(snaps[i - 1 : i + 2], PARAMS))
+            if uniform
+            else None
+        )
+    expected.append(None)
+    return expected
+
+
 class TestRun:
     def test_completed_with_output_cadence(self):
         cfg = small_config()
@@ -316,17 +333,7 @@ class TestRun:
     def test_attached_residuals_equal_window_by_window_calls(self, t_end):
         # t_end 0.045 ends on a short output interval: that window is skipped
         result = run(small_config(t_end=t_end))
-        snaps = result.snapshots
-        expected = [None]
-        for i in range(1, len(snaps) - 1):
-            (t0, _, _), (t1, _, _), (t2, _, _) = snaps[i - 1 : i + 2]
-            uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
-            expected.append(
-                _bits(analysis.energy_residuals(snaps[i - 1 : i + 2], PARAMS))
-                if uniform
-                else None
-            )
-        expected.append(None)
+        expected = _window_by_window(result)
         assert [_bits(rec.residuals) for rec in result.records] == expected
         assert expected.count(None) == (2 if t_end == 0.05 else 3)
 
@@ -396,8 +403,9 @@ class TestRun:
 
 
 class TestOutputWindow:
-    """run() fills each output's energy residuals when the next output
-    arrives, and holds the fields of at most one earlier output."""
+    """run() reduces each output, when it arrives, to the scalars its energy
+    windows take, fills its residuals when the next output arrives, and
+    holds the fields of no earlier output."""
 
     @staticmethod
     def peak_bytes(cfg):
@@ -419,8 +427,64 @@ class TestOutputWindow:
         (few, r_few), (many, r_many) = map(self.peak_bytes, configs)
         assert (len(r_few.records), len(r_many.records)) == (5, 21)
         assert sum(rec.residuals is not None for rec in r_many.records) == 19
-        pair = 2 * n * n * 8  # one output's (A, N)
-        assert abs(many - few) < pair
+        assert abs(many - few) < n * n * 8
+
+    @pytest.mark.parametrize("keep_snapshots", [True, False])
+    def test_one_stack_pair_per_run(self, monkeypatch, keep_snapshots):
+        # a kept snapshot is a copy, so no output takes a stack from the steps
+        built = []
+        real = grid_module._Stack.__init__
+
+        def counted(stack, ws, values):
+            built.append(values.shape)
+            real(stack, ws, values)
+
+        monkeypatch.setattr(grid_module._Stack, "__init__", counted)
+        result = run(small_config(), keep_snapshots=keep_snapshots)
+        assert result.outcome.kind == "completed"
+        assert len(result.records) == 6
+        assert built == [(2, 32, 32)] * 2
+
+    @pytest.mark.parametrize("t_end", [0.05, 0.045])
+    def test_middle_terms_once_per_interior_output(self, monkeypatch, t_end):
+        # neither the first output nor the one at t_end is a window's middle;
+        # at t_end 0.045 the window of t = 0.04 is skipped all the same
+        middles = []
+        real = analysis._output_terms
+
+        def counted(A, N, grad_A_l2sq, params, middle):
+            if middle:
+                middles.append(A)
+            return real(A, N, grad_A_l2sq, params, middle)
+
+        monkeypatch.setattr(analysis, "_output_terms", counted)
+        result = run(small_config(t_end=t_end))
+        assert result.outcome.kind == "completed"
+        assert len(middles) == len(result.records) - 2
+        monkeypatch.undo()
+        expected = _window_by_window(result)
+        assert [_bits(rec.residuals) for rec in result.records] == expected
+        assert expected.count(None) == (2 if t_end == 0.05 else 3)
+
+    def test_an_output_of_negative_A_ends_the_run_failed(self, tmp_path):
+        # a loose guard lets A < 0 reach an output; its middle terms would
+        # need A > 0, so none are taken, and the next step's velocity ends
+        # the run at that output, with its record
+        grid = GridSpec(L=1.0, n=16)
+        x, y = grid.cell_coords()
+        bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.01)
+        write_field(tmp_path / "A.field", ScalarField(grid, 1.0 + 49.0 * bump))
+        write_field(tmp_path / "N.field", ScalarField(grid, np.ones((16, 16))))
+        cfg = small_config(
+            grid=grid, params=ModelParams(eta=0.1, psi=1000.0, omega=1.0, atilde=0.7, chi=2.0),
+            t_end=0.01, dt_init=2e-4, dt_max=2e-4, output_every=2e-4, guard_tol=100.0,
+            ic=InitialCondition("file", path_A=str(tmp_path / "A.field"),
+                                path_N=str(tmp_path / "N.field")),
+        )
+        result = run(cfg)
+        assert [rec.minA < 0 for rec in result.records] == [False, True]
+        assert (result.outcome.kind, result.outcome.t) == ("failed", result.records[-1].t)
+        assert result.outcome.reason.startswith("A dropped to")
 
     def test_snapshots_are_kept_by_default_only(self):
         cfg = small_config()
@@ -1223,8 +1287,8 @@ class TestRunStacks:
             assert state.A.values.tobytes() == got[0].tobytes()
             assert state.N.values.tobytes() == got[1].tobytes()
             stacks.add(id(got[2].A.values.base))
-        # two stacks in turn, and two new ones after each output
-        assert len(stacks) <= 2 * len(result.records)
+        # two stacks in turn for the whole run
+        assert len(stacks) <= 2
 
     @pytest.mark.parametrize("model", ["main", "short"])
     def test_no_field_handed_out_shares_memory(self, monkeypatch, tmp_path, model):
