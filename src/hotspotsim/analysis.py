@@ -165,7 +165,10 @@ def entropy_sigma(
     params: ModelParams, bounds: DerivedBounds, mu_sq: float = MU_SQ_SQUARE
 ) -> float:
     """Weight sigma = (2 psi^2 / eta) a_max^4 mu^2 n1_max of the N-entropy term."""
-    return 2.0 * params.psi ** 2 / params.eta * bounds.a_max ** 4 * mu_sq * bounds.n1_max
+    try:
+        return 2.0 * params.psi ** 2 / params.eta * bounds.a_max ** 4 * mu_sq * bounds.n1_max
+    except OverflowError:
+        raise ValueError(f"entropy weight sigma overflows at a_max={bounds.a_max:g}") from None
 
 
 def entropy_params(

@@ -66,59 +66,58 @@ class _Parser(argparse.ArgumentParser):
 # Config ingestion
 # ---------------------------------------------------------------------------
 
-_SECTIONS = {
-    "model": {"kind", "eta", "psi", "omega", "atilde", "chi", "a0", "abar"},
-    "grid": {"L", "n"},
-    "time": {"t_end", "dt_init", "dt_min", "dt_max", "output_every"},
-    "ic": {"recipe", "a0", "n0", "amplitude", "mode_j", "mode_k", "path_A", "path_N"},
-    "numerics": {"flux_scheme", "cfl", "guard_tol"},
-    "outputs": {"dir", "snapshots", "diagnostics"},
-}
+# The JSON kinds of a config value: the types json.loads gives it (a bool is
+# no number) and the words an error message names it by.
+_NUMBER = ((int, float), "a JSON number")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a JSON number or null")
+_INTEGER = ((int,), "a JSON integer")
+_STRING = ((str,), "a JSON string")
+_BOOL = ((bool,), "true or false")
+_REQUIRED = object()
 
+# section -> key -> (kind, default), the default being a value, _REQUIRED or
+# None for unset; load_config requires the model kind's own keys, and an
+# unset output_every is t_end / 10.
+_KEYS = {
+    "model": {"kind": (_STRING, "main"), "eta": (_NUMBER, None), "psi": (_NUMBER, None),
+              "omega": (_NUMBER, None), "atilde": (_NUMBER, None), "chi": (_NUMBER, 2.0),
+              "a0": (_NUMBER, None), "abar": (_NUMBER, None)},
+    "grid": {"L": (_NUMBER, _REQUIRED), "n": (_INTEGER, _REQUIRED)},
+    "time": {"t_end": (_NUMBER, _REQUIRED), "dt_init": (_NUMBER, 1e-3),
+             "dt_min": (_NUMBER, 1e-9), "dt_max": (_NUMBER_OR_NULL, None),
+             "output_every": (_NUMBER, None)},
+    "ic": {"recipe": (_STRING, "perturbed_steady"), "a0": (_NUMBER, None),
+           "n0": (_NUMBER, None), "amplitude": (_NUMBER, None), "mode_j": (_INTEGER, 1),
+           "mode_k": (_INTEGER, 1), "path_A": (_STRING, None), "path_N": (_STRING, None)},
+    "numerics": {"flux_scheme": (_STRING, "centered"), "cfl": (_NUMBER, 0.5),
+                 "guard_tol": (_NUMBER, 1e-6)},
+    "outputs": {"dir": (_STRING, "out"), "snapshots": (_BOOL, True),
+                "diagnostics": (_BOOL, True)},
+}
 
 _MAIN = (ModelParams, ("eta", "psi", "omega", "atilde"))
 _MODELS = {"main": _MAIN, "pitcher": _MAIN, "short": (ShortParams, ("eta", "a0", "abar"))}
-_REQUIRED = object()
 
 
-def _check_keys(section: str, doc: dict) -> None:
-    unknown = set(doc) - _SECTIONS[section]
+def _section(name: str, doc) -> dict:
+    """Config section `name` checked against _KEYS: every key of the section,
+    each of its kind and a number as a float, or at its default if absent."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"section '{name}' must be a JSON object")
+    unknown = set(doc) - set(_KEYS[name])
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{section}'")
-
-
-def _integer(name: str, value, n: int | None = None) -> int:
-    """The config value `name` ("section.key"), which must be a JSON integer;
-    with n given, also a cosine mode index that the grid resolves,
-    0 <= mode < n (mode n samples to zero at every cell)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be a JSON integer, got {value!r}")
-    if n is not None and not 0 <= value < n:
-        raise ConfigError(
-            f"{name} must be an integer in [0, {n}) on an n={n} grid, got {value!r}"
-        )
-    return value
-
-
-def _number(name: str, doc: dict, default=None) -> float | None:
-    """The config value `name` ("section.key") in its section `doc`: a JSON
-    number (finite: see load_config), as a float; `default` when absent."""
-    key = name.partition(".")[2]
-    value = doc.get(key, default)
-    if value is _REQUIRED:
-        raise ConfigError(f"missing required key {name}")
-    if key in doc and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"{name} must be a JSON number, got {value!r}")
-    return None if value is None else float(value)
-
-
-def _string(name: str, doc: dict, default: str | None = None) -> str | None:
-    """The config value `name` ("section.key") in its section `doc`: a JSON
-    string; `default` when the key is absent."""
-    key = name.partition(".")[2]
-    if key in doc and not isinstance(doc[key], str):
-        raise ConfigError(f"{name} must be a JSON string, got {doc[key]!r}")
-    return doc.get(key, default)
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{name}'")
+    values = {}
+    for key, ((types, words), default) in _KEYS[name].items():
+        value = doc.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required key {name}.{key}")
+        if key in doc and type(value) not in types:
+            raise ConfigError(f"{name}.{key} must be {words}, got {value!r}")
+        if type(value) is int and float in types:
+            value = float(value)  # a number is a float, also one written as 2
+        values[key] = value
+    return values
 
 
 def _non_finite(literal: str):
@@ -154,75 +153,41 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
+    unknown = set(doc) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown top-level section(s) {sorted(unknown)}")
     for sec in ("model", "grid", "time"):
         if sec not in doc:
             raise ConfigError(f"missing required section '{sec}'")
-    for sec, body in doc.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"section '{sec}' must be a JSON object")
-        _check_keys(sec, body)
+    doc.setdefault("ic", {"amplitude": 0.0})
+    m, g, t, ic, num, out = (_section(name, doc.get(name, {})) for name in _KEYS)
 
-    m, t, num = doc["model"], doc["time"], doc.get("numerics", {})
-    kind = m.get("kind", "main")
-    if not isinstance(kind, str) or kind not in _MODELS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    model, keys = _MODELS[kind]
+    if m["kind"] not in _MODELS:
+        raise ConfigError(f"unknown model kind {m['kind']!r}")
+    model, keys = _MODELS[m["kind"]]
+    for key in keys:
+        if m[key] is None:
+            raise ConfigError(f"missing required key model.{key}")
+    if t["output_every"] is None:
+        t["output_every"] = t["t_end"] / 10.0
     try:
-        params = model(
-            **{key: _number(f"model.{key}", m, _REQUIRED) for key in keys},
-            chi=_number("model.chi", m, 2.0),
-        )
+        params = model(**{key: m[key] for key in keys}, chi=m["chi"])
         if model is ModelParams:
             analysis.choose_c(params.chi, params.eta)  # every output's record needs it
-        grid = GridSpec(
-            L=_number("grid.L", doc["grid"], _REQUIRED),
-            n=_integer("grid.n", doc["grid"]["n"]),
-        )
-        ic_doc = doc.get("ic", {"recipe": "perturbed_steady", "amplitude": 0.0})
-        ic = solver.InitialCondition(
-            recipe=ic_doc.get("recipe", "perturbed_steady"),
-            a0=_number("ic.a0", ic_doc),
-            n0=_number("ic.n0", ic_doc),
-            amplitude=_number("ic.amplitude", ic_doc),
-            mode_j=_integer("ic.mode_j", ic_doc.get("mode_j", 1), grid.n),
-            mode_k=_integer("ic.mode_k", ic_doc.get("mode_k", 1), grid.n),
-            path_A=_string("ic.path_A", ic_doc),
-            path_N=_string("ic.path_N", ic_doc),
-        )
-        t_end = _number("time.t_end", t, _REQUIRED)
+        grid = GridSpec(L=g["L"], n=g["n"])
+        # a cosine mode the grid resolves: mode n samples to zero at every cell
+        for key in ("mode_j", "mode_k"):
+            if not 0 <= ic[key] < grid.n:
+                raise ConfigError(f"ic.{key} must be an integer in [0, {grid.n}) on an "
+                                  f"n={grid.n} grid, got {ic[key]!r}")
         config = solver.SimConfig(
-            grid=grid,
-            params=params,
-            t_end=t_end,
-            dt_init=_number("time.dt_init", t, 1e-3),
-            dt_min=_number("time.dt_min", t, 1e-9),
-            dt_max=None if t.get("dt_max") is None else _number("time.dt_max", t),
-            output_every=_number("time.output_every", t, t_end / 10.0),
-            ic=ic,
-            cfl_advection=_number("numerics.cfl", num, 0.5),
-            flux_scheme=num.get("flux_scheme", "centered"),
-            guard_tol=_number("numerics.guard_tol", num, 1e-6),
+            grid=grid, params=params, ic=solver.InitialCondition(**ic), **t,
+            cfl_advection=num["cfl"], flux_scheme=num["flux_scheme"],
+            guard_tol=num["guard_tol"],
         )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}")
-
-    out = doc.get("outputs", {})
-    for switch in ("snapshots", "diagnostics"):
-        if not isinstance(out.get(switch, True), bool):
-            raise ConfigError(
-                f"outputs.{switch} must be true or false, got {out[switch]!r}"
-            )
-    out_opts = {
-        "dir": os.environ.get("HOTSPOT_OUT", _string("outputs.dir", out, "out")),
-        "snapshots": out.get("snapshots", True),
-        "diagnostics": out.get("diagnostics", True),
-    }
-    return config, out_opts
+    return config, {**out, "dir": os.environ.get("HOTSPOT_OUT", out["dir"])}
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +432,9 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
         try:
             return args.fn(args)
-        except (ValueError, HotspotError) as exc:
-            # a value the command cannot use, named by the message
+        except (ValueError, HotspotError, MemoryError) as exc:
+            # a value the command cannot use, named by the message, or numpy's
+            # failure to allocate a grid too large for the memory left
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:

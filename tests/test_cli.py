@@ -1,15 +1,23 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hotspotsim import cli, solver
+from hotspotsim import grid as grid_module
 from hotspotsim.grid import GridSpec, ScalarField, read_field, write_field
+from hotspotsim.model import ModelParams
 
 
 def write_config(path, **overrides):
@@ -477,6 +485,25 @@ class TestGridSize:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_allocation_failure_after_the_initial_condition_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # numpy's allocation failure once the initial fields exist: the
+        # workspace of a grid too large for the memory left
+        def no_memory(self, grid):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr(grid_module._Workspace, "__init__", no_memory)
+        grid_module._workspace.cache_clear()
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: Unable to allocate 2.00 GiB for an array"
+        ]
+        assert not (tmp_path / "out").exists()
+
 
 def _snapshot_files(out_dir):
     return sorted(p.name for p in out_dir.iterdir() if p.name.startswith(("A_", "N_")))
@@ -716,6 +743,14 @@ class TestNumericKeysAreJsonNumbers:
         assert cli.main(["simulate", str(cfg)]) == 1
         self.assert_one_error_line(capsys, tmp_path, key.partition(".")[2])
 
+    def test_static_attractiveness_whose_entropy_weight_overflows(self, tmp_path, capsys):
+        # a_max ** 4 in the weight of the first output's entropy raised
+        # OverflowError, a traceback
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "model.atilde": 1e300})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        self.assert_one_error_line(capsys, tmp_path, "sigma overflows at a_max=1e+300")
+
     def test_largest_chi_still_ends_in_an_outcome(self, tmp_path, capsys):
         # a velocity built with 2 chi overflowed here, and the step size
         # went to 0 (a ValueError traceback)
@@ -740,6 +775,72 @@ class TestNumericKeysAreJsonNumbers:
         write_config(cfg, **{"time.dt_max": None})
         config, _ = cli.load_config(cfg)
         assert config.dt_max is None
+
+
+class TestEveryKeyIsChecked:
+    """Each key of a section is checked against its kind, whether or not the
+    config's model kind, recipe or scheme reads it."""
+
+    @pytest.mark.parametrize("model, key", [
+        ({}, "model.a0"),
+        ({}, "model.abar"),
+        (_SHORT_MODEL, "model.psi"),
+        (_SHORT_MODEL, "model.omega"),
+    ])
+    def test_other_model_kinds_key_is_type_checked(self, tmp_path, capsys, model, key):
+        cfg = tmp_path / "run.json"
+        overrides = {"grid.n": 16, key: "x"}
+        if model:
+            overrides["model"] = {**model, key[6:]: "x"}
+        write_config(cfg, **overrides)
+        assert cli.main(["simulate", str(cfg)]) == 1
+        TestNumericKeysAreJsonNumbers.assert_one_error_line(
+            capsys, tmp_path, key, "JSON number"
+        )
+
+    def test_missing_grid_size_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        doc = write_config(cfg)
+        del doc["grid"]["n"]
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(cfg)]) == 1
+        TestNumericKeysAreJsonNumbers.assert_one_error_line(
+            capsys, tmp_path, "missing required key grid.n"
+        )
+
+    @pytest.mark.parametrize("value", [5, None, ["main"], True])
+    @pytest.mark.parametrize("key", ["model.kind", "ic.recipe", "numerics.flux_scheme"])
+    def test_non_string_choice_is_named(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, key: value})
+        assert cli.main(["simulate", str(cfg)]) == 1
+        TestNumericKeysAreJsonNumbers.assert_one_error_line(
+            capsys, tmp_path, key, "JSON string"
+        )
+
+    def test_absent_keys_take_their_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HOTSPOT_OUT", raising=False)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "model": {"eta": 0.1, "psi": 0.0046667, "omega": 84, "atilde": 0.7},
+            "grid": {"L": 1, "n": 16},
+            "time": {"t_end": 0.5},
+        }))
+        config, out_opts = cli.load_config(cfg)
+        assert config.params == ModelParams(
+            eta=0.1, psi=0.0046667, omega=84.0, atilde=0.7, chi=2.0
+        )
+        assert config.grid == GridSpec(L=1.0, n=16)
+        assert (config.dt_init, config.dt_min, config.dt_max) == (1e-3, 1e-9, None)
+        assert config.output_every == 0.05
+        assert config.ic == solver.InitialCondition(
+            recipe="perturbed_steady", amplitude=0.0
+        )
+        assert (config.cfl_advection, config.flux_scheme, config.guard_tol) == (
+            0.5, "centered", 1e-6
+        )
+        assert out_opts == {"dir": "out", "snapshots": True, "diagnostics": True}
+        assert all(type(v) is float for v in (config.grid.L, config.params.omega))
 
 
 class TestNonFiniteConfigValues:
@@ -940,6 +1041,83 @@ def test_simulate_calls_each_phase_once_through_its_module(
     write_config(cfg, **{"grid.n": 16, "outputs.snapshots": snapshots})
     assert cli.main(["simulate", str(cfg)]) == 0
     assert calls == ["load_config", "run", "build_initial", "_emit_outputs"]
+
+
+def _short_compliant_run() -> dict:
+    """configs/compliant.json cut to a run of about 7 ms: n=16, two outputs
+    and no snapshots."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "compliant.json")
+                     .read_text())
+    doc["grid"]["n"] = 16
+    doc["time"].update(t_end=0.02, output_every=0.01)
+    doc["outputs"]["snapshots"] = False
+    return doc
+
+
+_DELETE = object()
+# every value kind json writes, the edges of each and a few strings that
+# name a choice; no grid larger than n=64, so no example allocates much
+_LEAF_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-3, 64),
+    st.just(10 ** 400), st.floats(), st.text(max_size=6),
+    st.sampled_from(["1", "inf", "short", "constants", "file", "upwind"]),
+    st.sampled_from([[], {}, [1.0], {"n": 1}]),
+)
+
+
+def _valid_long_run(section: str, key: str, value) -> bool:
+    """A value that makes a valid config run long, which is not a defect:
+    t_end past 1, or dt_max, output_every or cfl below 1e-4."""
+    if type(value) not in (int, float):
+        return False
+    if (section, key) == ("time", "t_end"):
+        return value > 1
+    return (section, key) in (("time", "dt_max"), ("time", "output_every"),
+                              ("numerics", "cfl")) and 0 < value < 1e-4
+
+
+@given(leaf=st.sampled_from([(sec, key) for sec, body in _short_compliant_run().items()
+                             for key in body]),
+       value=_LEAF_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_one_leaf_mutation_ends_in_a_documented_outcome(leaf, value):
+    """simulate never raises: it returns 0-3, a return of 1 says why in one
+    error: line or as a failed outcome, and a run that began stepping writes
+    outcome.json."""
+    section, key = leaf
+    assume(not _valid_long_run(section, key, value))
+    doc = _short_compliant_run()
+    if value is _DELETE:
+        doc[section].pop(key, None)
+    else:
+        doc[section][key] = value
+    began = []
+    real = solver.step
+
+    def spy(*args):
+        began.append(True)
+        return real(*args)
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps(doc))
+        outputs = Path(tmp) / "out"
+        with (mock.patch.dict(os.environ, {"HOTSPOT_OUT": str(outputs)}),
+              mock.patch.object(solver, "step", spy),
+              contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              np.errstate(all="ignore")):
+            code = cli.main(["simulate", str(cfg)])
+        assert code in (0, 1, 2, 3)
+        if began:
+            assert (outputs / "outcome.json").is_file()
+        lines = err.getvalue().splitlines()
+        if code == 1 and not began:
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert not outputs.exists()
+        elif code == 1:
+            assert "outcome: failed" in out.getvalue()
+            assert len(lines) == 1 and lines[0].startswith("reason:"), lines
 
 
 def test_one_exception_root():
