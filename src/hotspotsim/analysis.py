@@ -17,28 +17,7 @@ import numpy as np
 
 from . import grid as g
 from .grid import HotspotError, ScalarField, spectral_hessian_norms
-from .model import DerivedBounds, ModelParams, NonPositiveA
-from .model import sensitivity_floor, sensitivity_grad
-
-
-class AnalysisError(HotspotError):
-    pass
-
-
-class NegativeEntropyIntegrand(AnalysisError):
-    pass
-
-
-class NonPositiveN(AnalysisError):
-    pass
-
-
-class ConstantField(AnalysisError):
-    pass
-
-
-class DegenerateField(AnalysisError):
-    pass
+from .model import DerivedBounds, ModelParams, sensitivity_floor, sensitivity_grad
 
 
 # Square-domain constants: best-constant bounds mu^2 <= 3/2 and K <= 12,
@@ -210,7 +189,7 @@ def _nlogn_m_n_p1(n: np.ndarray) -> np.ndarray:
 def boltzmann_entropy(N: ScalarField) -> float:
     """int (N log N - N + 1) dx, the Boltzmann-type entropy of the density."""
     if np.min(N.values) < 0:
-        raise NegativeEntropyIntegrand(
+        raise HotspotError(
             f"entropy integrand undefined: density reached {np.min(N.values):.3e} < 0"
         )
     vals = _nlogn_m_n_p1(N.values)
@@ -220,7 +199,7 @@ def boltzmann_entropy(N: ScalarField) -> float:
 def entropy_phi(state, ep: EntropyParams) -> float:
     """Approximate entropy phi = sigma int(N log N - N + 1) + 1/2 ||grad A||_2^2."""
     if np.min(state.N.values) < 0:
-        raise NegativeEntropyIntegrand("density must be nonnegative")
+        raise HotspotError("density must be nonnegative")
     return ep.sigma * boltzmann_entropy(state.N) + 0.5 * g.grad_l2sq(state.A)
 
 
@@ -244,7 +223,7 @@ def entropy_Y(state, c: float) -> float:
     """Modified entropy Y = int N (log N - c log A) dx (N log N extended by 0)."""
     a, n = state.A.values, state.N.values
     if np.min(a) <= 0:
-        raise NonPositiveA("attractiveness must be positive for the log weight")
+        raise HotspotError("attractiveness must be positive for the log weight")
     with np.errstate(divide="ignore", invalid="ignore"):
         nlogn = np.where(n > 0, n * np.log(np.where(n > 0, n, 1.0)), 0.0)
     vals = nlogn - c * n * np.log(a)
@@ -413,7 +392,7 @@ def energy_residuals(window, params: ModelParams) -> EnergyResiduals:
     if d0 <= 0 or abs(d1 - d0) > 1e-9 * max(d0, d1):
         raise ValueError("window must be uniformly spaced in time")
     if min(np.min(N.values) for _, _, N in window) <= 0:
-        raise NonPositiveN("the entropy balance needs N > 0 on the whole window")
+        raise HotspotError("the entropy balance needs N > 0 on the whole window")
     terms = [_output_terms(A, N, g.grad_l2sq(A), params, middle=k == 1)
              for k, (_, A, N) in enumerate(window)]
     return _energy_balances((t0, t1, t2), terms, params)
@@ -431,7 +410,7 @@ class PoincareProbe:
 
 def poincare_probe(u: ScalarField) -> PoincareProbe:
     if g.osc(u) <= 1e-13 * max(1.0, float(np.max(np.abs(u.values)))):
-        raise ConstantField("ratio is undefined for a constant field")
+        raise HotspotError("ratio is undefined for a constant field")
     ubar = g.mean(u)
     centered = ScalarField(u.grid, u.values - ubar)
     ratio = g.lp_norm(centered, 2) / g.grad_l1(u)
@@ -459,7 +438,7 @@ def interpolation_probe(
     lap2 = g.laplacian_l2sq(u)
     scale = max(1.0, float(np.max(np.abs(u.values))))
     if o <= 1e-13 * scale or lap2 <= (1e-13 * scale) ** 2:
-        raise DegenerateField("ratio is undefined for constant or harmonic fields")
+        raise HotspotError("ratio is undefined for constant or harmonic fields")
     ratio = g.grad4(u) / (o ** 2 * lap2)
     gap = None
     if spectral_coeffs is not None:

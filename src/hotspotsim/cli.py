@@ -29,10 +29,6 @@ from .grid import (
 from .model import DerivedBounds, ModelParams, ShortParams
 
 
-class ConfigError(HotspotError):
-    pass
-
-
 def _finite_flag(text: str) -> float:
     """A flag value that is a finite float (argparse reports a ValueError)."""
     if not math.isfinite(float(text)):
@@ -103,17 +99,17 @@ def _section(name: str, doc) -> dict:
     """Config section `name` checked against _KEYS: every key of the section,
     each of its kind and a number as a float, or at its default if absent."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"section '{name}' must be a JSON object")
+        raise HotspotError(f"section '{name}' must be a JSON object")
     unknown = set(doc) - set(_KEYS[name])
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{name}'")
+        raise HotspotError(f"unknown key(s) {sorted(unknown)} in section '{name}'")
     values = {}
     for key, ((types, words), default) in _KEYS[name].items():
         value = doc.get(key, default)
         if value is _REQUIRED:
-            raise ConfigError(f"missing required key {name}.{key}")
+            raise HotspotError(f"missing required key {name}.{key}")
         if key in doc and type(value) not in types:
-            raise ConfigError(f"{name}.{key} must be {words}, got {value!r}")
+            raise HotspotError(f"{name}.{key} must be {words}, got {value!r}")
         if type(value) is int and float in types:
             value = float(value)  # a number is a float, also one written as 2
         values[key] = value
@@ -122,7 +118,7 @@ def _section(name: str, doc) -> dict:
 
 def _non_finite(literal: str):
     shown = literal if len(literal) < 25 else literal[:20] + "..."
-    raise ConfigError(f"config holds {shown}, which is not a finite number")
+    raise HotspotError(f"config holds {shown}, which is not a finite number")
 
 
 def _finite_float(literal: str) -> float:
@@ -150,24 +146,24 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
             parse_int=_finite_int,
         )
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise HotspotError(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise HotspotError("config must be a JSON object")
     unknown = set(doc) - set(_KEYS)
     if unknown:
-        raise ConfigError(f"unknown top-level section(s) {sorted(unknown)}")
+        raise HotspotError(f"unknown top-level section(s) {sorted(unknown)}")
     for sec in ("model", "grid", "time"):
         if sec not in doc:
-            raise ConfigError(f"missing required section '{sec}'")
+            raise HotspotError(f"missing required section '{sec}'")
     doc.setdefault("ic", {"amplitude": 0.0})
     m, g, t, ic, num, out = (_section(name, doc.get(name, {})) for name in _KEYS)
 
     if m["kind"] not in _MODELS:
-        raise ConfigError(f"unknown model kind {m['kind']!r}")
+        raise HotspotError(f"unknown model kind {m['kind']!r}")
     model, keys = _MODELS[m["kind"]]
     for key in keys:
         if m[key] is None:
-            raise ConfigError(f"missing required key model.{key}")
+            raise HotspotError(f"missing required key model.{key}")
     if t["output_every"] is None:
         t["output_every"] = t["t_end"] / 10.0
     try:
@@ -178,15 +174,15 @@ def load_config(path) -> tuple[solver.SimConfig, dict]:
         # a cosine mode the grid resolves: mode n samples to zero at every cell
         for key in ("mode_j", "mode_k"):
             if not 0 <= ic[key] < grid.n:
-                raise ConfigError(f"ic.{key} must be an integer in [0, {grid.n}) on an "
-                                  f"n={grid.n} grid, got {ic[key]!r}")
+                raise HotspotError(f"ic.{key} must be an integer in [0, {grid.n}) on an "
+                                   f"n={grid.n} grid, got {ic[key]!r}")
         config = solver.SimConfig(
             grid=grid, params=params, ic=solver.InitialCondition(**ic), **t,
             cfl_advection=num["cfl"], flux_scheme=num["flux_scheme"],
             guard_tol=num["guard_tol"],
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid config: {exc}")
+        raise HotspotError(f"invalid config: {exc}")
     return config, {**out, "dir": os.environ.get("HOTSPOT_OUT", out["dir"])}
 
 

@@ -23,31 +23,8 @@ import numpy as np
 
 
 class HotspotError(Exception):
-    """Root of every error this package raises for a failure it names."""
-
-
-class GridError(HotspotError):
-    """Base class for grid-level failures."""
-
-
-class GridMismatch(GridError):
-    """Operands live on different grids."""
-
-
-class NonPositiveField(GridError):
-    """A functional requiring strict positivity met a value <= 0."""
-
-
-class InvalidExponent(GridError):
-    """Lp norm requested with p < 1."""
-
-
-class SolveFailure(GridError):
-    """Implicit solve did not reach the residual tolerance."""
-
-
-class UnresolvableMode(GridError):
-    """Requested cosine mode is not resolvable on this grid."""
+    """Every failure this package names, its message saying which; the one
+    subclass, solver.StepRejected, marks a failure a smaller step may cure."""
 
 
 HELMHOLTZ_TOL = 1e-10
@@ -380,7 +357,7 @@ def _same_grid(*fields) -> GridSpec:
     g = fields[0].grid
     for f in fields[1:]:
         if f.grid is not g and f.grid != g:
-            raise GridMismatch("operands live on different grids")
+            raise HotspotError("operands live on different grids")
     return g
 
 
@@ -426,7 +403,7 @@ def mean(u: ScalarField) -> float:
 
 def lp_norm(u: ScalarField, p: float) -> float:
     if p != math.inf and p < 1:
-        raise InvalidExponent(f"Lp norm needs p >= 1, got p={p}")
+        raise HotspotError(f"Lp norm needs p >= 1, got p={p}")
     if p == math.inf:
         return float(np.max(np.abs(u.values)))
     return float(np.sum(np.abs(u.values) ** p) * u.grid.h ** 2) ** (1.0 / p)
@@ -454,7 +431,7 @@ def _face_mean_y(v: np.ndarray) -> np.ndarray:
 def fisher(u: ScalarField) -> float:
     """int |grad u|^2 / u with u evaluated at faces by arithmetic mean."""
     if np.min(u.values) <= 0.0:
-        raise NonPositiveField("fisher functional requires u > 0 everywhere")
+        raise HotspotError("fisher functional requires u > 0 everywhere")
     return _fisher(gradient(u), u.values)
 
 
@@ -566,7 +543,7 @@ def _helmholtz(out: _Stack, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -
             r2, a2 = np.einsum("ij,ij", r, r), np.einsum("ij,ij", a, a)
         rel = math.sqrt(a2) / max(math.sqrt(r2), _TINY)
         if not rel <= HELMHOLTZ_TOL:  # NaN fails too
-            raise SolveFailure(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
+            raise HotspotError(f"Helmholtz residual {rel:.3e} exceeds {HELMHOLTZ_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +571,7 @@ def sample_cosine_field(
     if amplitude <= 0:
         raise ValueError("amplitude must be > 0")
     if max_mode >= grid.n / 2:
-        raise UnresolvableMode(
+        raise HotspotError(
             f"max_mode={max_mode} is not resolvable on n={grid.n} cells"
         )
     rng = np.random.default_rng(seed)
@@ -776,7 +753,7 @@ def read_field(path, grid: GridSpec | None = None) -> ScalarField:
             except ValueError as exc:
                 raise ValueError(f"{path}: bad header L= or n= entry: {exc}") from None
             if grid is not None and grid != file_grid:
-                raise GridMismatch(
+                raise HotspotError(
                     f"{path}: file grid (L={file_grid.L}, n={file_grid.n}) "
                     "does not match expected grid"
                 )

@@ -24,31 +24,6 @@ from .grid import (
 )
 
 
-class ModelError(HotspotError):
-    pass
-
-
-class NonPositiveA(ModelError):
-    pass
-
-
-class NegativeN(ModelError):
-    pass
-
-
-class FloorViolation(ModelError):
-    """A fell below the sensitivity floor: impending log singularity."""
-
-
-class InvalidInitialData(ModelError):
-    pass
-
-
-class PluginOutputError(ModelError):
-    """A GeneralModel callable raised, or returned a field of the wrong shape
-    or with non-finite values; halving the step cannot help."""
-
-
 POSITIVITY_MESSAGE = (
     "model coefficients eta, psi, omega, atilde, chi must all be strictly positive"
 )
@@ -209,16 +184,16 @@ class GeneralModel(ModelKind):
 
 def plugin_field(grid: GridSpec, name: str, fn: Callable, *args) -> ScalarField:
     """Call the plugin callable `name` and validate what it returned, where
-    it enters.  Any Exception of either ends as PluginOutputError, so a run
-    ends failed; a KeyboardInterrupt passes through."""
+    it enters.  Any Exception of either ends as a HotspotError naming the
+    callable, so a run ends failed; a KeyboardInterrupt passes through."""
     try:
         values = fn(*args)
     except Exception as exc:
-        raise PluginOutputError(f"GeneralModel.{name} raised {exc!r}") from exc
+        raise HotspotError(f"GeneralModel.{name} raised {exc!r}") from exc
     try:
         return ScalarField(grid, values)
     except (TypeError, ValueError) as exc:
-        raise PluginOutputError(f"GeneralModel.{name}: {exc}") from exc
+        raise HotspotError(f"GeneralModel.{name}: {exc}") from exc
 
 
 def _eval_envelope(e: EnvelopeFn, a: np.ndarray) -> np.ndarray:
@@ -244,7 +219,7 @@ def _sensitivity_faces(A: ScalarField, chi: float, a_floor: float) -> _Faces:
     if a_floor <= 0:
         raise ValueError("a_floor must be positive")
     if A._minimum() < a_floor:
-        raise FloorViolation(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
+        raise HotspotError(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
     ws, (x_hi, x_lo, y_hi, y_lo) = A._views or (_workspace(A.grid), _pairs(A.values))
     faces, half_h = ws.velocity, ws.half_h
     for hi, lo, v, total in ((x_hi, x_lo, faces.fx_in, ws.sums[0]),
@@ -298,9 +273,9 @@ def derived_bounds(
 ) -> DerivedBounds:
     _same_grid(A0, N0)
     if np.min(A0.values) <= 0:
-        raise InvalidInitialData("initial attractiveness must be positive everywhere")
+        raise HotspotError("initial attractiveness must be positive everywhere")
     if np.min(N0.values) < 0:
-        raise InvalidInitialData("initial criminal density must be nonnegative")
+        raise HotspotError("initial criminal density must be nonnegative")
     a_min = min(1.0, params.atilde, float(np.min(A0.values)))
     a_max = max(1.0, params.atilde, float(np.max(A0.values)))
     n1_max = max(lp_norm(N0, 1), A0.grid.area)

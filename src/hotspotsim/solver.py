@@ -19,7 +19,6 @@ import numpy as np
 
 from . import analysis
 from .grid import (
-    GridError,
     GridSpec,
     HotspotError,
     ScalarField,
@@ -33,25 +32,13 @@ from .grid import (
     read_field,
     cosine_mode,
 )
-from .model import DerivedBounds, ModelKind, NegativeN, NonPositiveA, sensitivity_floor
+from .model import DerivedBounds, ModelKind, sensitivity_floor
 
 
-class SolverError(HotspotError):
-    pass
-
-
-class PositivityBreach(SolverError):
-    """A or N left the guarded region: the step is too large, or regularity
-    is genuinely being lost."""
-
-
-class NonFinite(SolverError):
-    pass
-
-
-class InitialConditionError(HotspotError):
-    """The initial condition cannot be built: an IC file is missing or
-    malformed, a recipe lacks a value, or the fields leave A > 0, N >= 0."""
+class StepRejected(HotspotError):
+    """A smaller step may cure this: A or N left the guarded region, or the
+    explicit stage was not finite.  run() halves the step on it; every other
+    HotspotError ends the run failed."""
 
 
 @dataclass
@@ -135,16 +122,12 @@ class RunResult:
 def build_initial(config: SimConfig) -> tuple[ScalarField, ScalarField]:
     try:
         A, N = _recipe_fields(config)
-    except (OSError, ValueError, GridError, MemoryError) as exc:
-        raise InitialConditionError(
-            f"cannot build the initial condition: {exc}"
-        ) from exc
+    except (OSError, ValueError, HotspotError, MemoryError) as exc:
+        raise HotspotError(f"cannot build the initial condition: {exc}") from exc
     if np.min(A.values) <= 0:
-        raise InitialConditionError(
-            "initial attractiveness must be positive everywhere"
-        )
+        raise HotspotError("initial attractiveness must be positive everywhere")
     if np.min(N.values) < 0:
-        raise InitialConditionError("initial criminal density must be nonnegative")
+        raise HotspotError("initial criminal density must be nonnegative")
     return A, N
 
 
@@ -220,9 +203,9 @@ def step(
     g = _same_grid(A, N)
     # the reaction's preconditions; N may undershoot 0 by guard_tol
     if A._minimum() <= 0:
-        raise NonPositiveA("attractiveness must be positive everywhere")
+        raise HotspotError("attractiveness must be positive everywhere")
     if N._minimum() < -config.guard_tol:
-        raise NegativeN(f"criminal density fell below -{config.guard_tol}")
+        raise HotspotError(f"criminal density fell below -{config.guard_tol}")
     src = state._stack
     if src is None:
         # the new stack holds the state until the solve overwrites it
@@ -247,7 +230,7 @@ def step(
     # the residual check's squared norms; one not finite may be an overflow
     rhs_sq = np.einsum("kij,kij->k", rhs, rhs)
     if not math.isfinite(rhs_sq[0] + rhs_sq[1]) and not np.isfinite(rhs).all():
-        raise NonFinite("explicit stage produced non-finite values")
+        raise StepRejected("explicit stage produced non-finite values")
 
     # a solve that passes its residual check has a finite solution
     _helmholtz(dst, rhs, (params.eta, 1.0), (lam_A, lam_N), dt, rhs_sq)
@@ -266,23 +249,26 @@ def _guard(
         span = bounds.a_max - bounds.a_min
         floor = bounds.a_min - tol * span
         if a_min < floor:
-            raise PositivityBreach(
-                f"A reached {a_min:.6g}, below guarded floor {floor:.6g}"
-            )
+            raise StepRejected(f"A reached {a_min:.6g}, below guarded floor {floor:.6g}")
     elif a_min <= 0:
-        raise PositivityBreach("A lost positivity")
+        raise StepRejected("A lost positivity")
     if n_min < -tol:
-        raise PositivityBreach(f"N reached {n_min:.6g}, below -guard_tol = {-tol:.6g}")
+        raise StepRejected(f"N reached {n_min:.6g}, below -guard_tol = {-tol:.6g}")
     return a_min, n_min
 
 
 def adapt_dt(velocity: VectorField | _Faces, config: SimConfig, dt_prev: float) -> float:
     """Grow the step by at most 10%, limited by the advective CFL condition
-    on the chemotactic face velocity and by the output cadence."""
+    on the chemotactic face velocity and by the output cadence; a velocity
+    that is not finite, or whose CFL step underflows to 0, is a HotspotError."""
     vmax = velocity.max_abs()
+    if not math.isfinite(vmax):
+        raise HotspotError("chemotactic velocity is not finite")
     dt = dt_prev * 1.1
     if vmax > 0:
         dt = min(dt, config.cfl_advection * config.grid.h / vmax)
+        if dt == 0:
+            raise HotspotError(f"CFL step underflows to 0 at chemotactic velocity {vmax:.6g}")
     dt = min(dt, config.output_every)
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
@@ -332,67 +318,71 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
             last = state.t >= config.t_end - _SNAP
             _slide_window(window, state, records, params, last)
 
-    output()
-    outcome = Outcome("completed", config.t_end)
-    max_mass_res = 0.0
-    n_mass = n0_mass  # the integral of state.N
-    dt = min(config.dt_init, config.output_every)
-    out_idx = 1
-    rejected = 0
+    # no numpy warning: a value that is not finite is left to the checks
+    # that name it (adapt_dt, the explicit stage, the guards, the residual)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        output()
+        outcome = Outcome("completed", config.t_end)
+        max_mass_res = 0.0
+        n_mass = n0_mass  # the integral of state.N
+        dt = min(config.dt_init, config.output_every)
+        out_idx = 1
+        rejected = 0
 
-    try:
-        while state.t < config.t_end - _SNAP:
-            t_next = min(out_idx * config.output_every, config.t_end)
-            # one velocity per accepted state, in the workspace's faces, sets the
-            # CFL step and drives every guard-driven retry
-            velocity = params._face_velocity(state.A, a_floor)
-            dt = adapt_dt(velocity, config, dt)
-            # clipping to the output boundary may shrink the step legitimately;
-            # only guard-driven halving counts toward the dt_min floor
-            dt_try = min(dt, t_next - state.t)
-            halved = False
-            while True:
-                if halved and dt_try < config.dt_min * (1.0 - 1e-12):
-                    outcome = Outcome(
-                        "blowup_suspected",
-                        state.t,
-                        "step size collapsed below dt_min under positivity guards",
-                    )
+        try:
+            while state.t < config.t_end - _SNAP:
+                t_next = min(out_idx * config.output_every, config.t_end)
+                # one velocity per accepted state, in the workspace's faces, sets the
+                # CFL step and drives every guard-driven retry
+                velocity = params._face_velocity(state.A, a_floor)
+                dt = adapt_dt(velocity, config, dt)
+                # clipping to the output boundary may shrink the step legitimately;
+                # only guard-driven halving counts toward the dt_min floor
+                dt_try = min(dt, t_next - state.t)
+                halved = False
+                while True:
+                    if halved and dt_try < config.dt_min * (1.0 - 1e-12):
+                        outcome = Outcome(
+                            "blowup_suspected",
+                            state.t,
+                            "step size collapsed below dt_min under positivity guards",
+                        )
+                        break
+                    try:
+                        new_state = step(state, dt_try, config, bounds, velocity)
+                    except StepRejected:
+                        dt_try *= 0.5
+                        halved = True
+                        rejected += 1
+                        continue
                     break
-                try:
-                    new_state = step(state, dt_try, config, bounds, velocity)
-                except (PositivityBreach, NonFinite):
-                    dt_try *= 0.5
-                    halved = True
-                    rejected += 1
-                    continue
-                break
-            if outcome.kind != "completed":
-                break
+                if outcome.kind != "completed":
+                    break
 
-            if bounds is not None:
-                new_mass = integral(new_state.N)
-                res = (
-                    abs(
-                        (1.0 + params.omega * dt_try) * new_mass
-                        - n_mass
-                        - dt_try * params.omega * area
+                if bounds is not None:
+                    new_mass = integral(new_state.N)
+                    res = (
+                        abs(
+                            (1.0 + params.omega * dt_try) * new_mass
+                            - n_mass
+                            - dt_try * params.omega * area
+                        )
+                        / area
                     )
-                    / area
-                )
-                max_mass_res = max(max_mass_res, res)
-                n_mass = new_mass
-            state = new_state
-            if halved:
-                dt = dt_try
-            if state.t >= t_next - _SNAP:
-                output()
-                out_idx += 1
-    except HotspotError as exc:
-        # every numerical failure that halving cannot cure: a solve above its
-        # residual tolerance, A below the sensitivity floor, bad plugin output,
-        # an output whose diagnostics are undefined
-        outcome = Outcome("failed", state.t, str(exc))
+                    max_mass_res = max(max_mass_res, res)
+                    n_mass = new_mass
+                state = new_state
+                if halved:
+                    dt = dt_try
+                if state.t >= t_next - _SNAP:
+                    output()
+                    out_idx += 1
+        except HotspotError as exc:
+            # every numerical failure that halving cannot cure: a velocity that
+            # is not finite, a solve above its residual tolerance, A below the
+            # sensitivity floor, bad plugin output, an output whose diagnostics
+            # are undefined
+            outcome = Outcome("failed", state.t, str(exc))
 
     return RunResult(
         records, snapshots, outcome, max_mass_res, state.step_count, rejected

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hotspotsim import cli, solver
@@ -164,7 +165,7 @@ class TestNumericFlags:
         _flags("check", {**CHECK_FLAGS, "mu": "0", "K": "1"}),
         # an OverflowError traceback
         _flags("check", {**CHECK_FLAGS, "psi": "1e308", "chi": "1e308"}),
-        # an UnresolvableMode traceback
+        # a traceback: a max_mode the grid cannot resolve
         ["verify", "--max-mode", "20", "--n", "32", "--samples", "1"],
         # exit 0, printing Infinity, which is not JSON
         _flags("check", {**CHECK_FLAGS, "eta": "inf"}),
@@ -1016,6 +1017,40 @@ class TestNegativeDensityAtAnOutput:
         assert (out / "diagnostics.csv").read_text().count("\n") >= 2
 
 
+@pytest.mark.parametrize("n, L, chi, mode, reason", [
+    # the velocity overflows to inf
+    (64, 1.0, 1e308, (3, 2), "chemotactic velocity is not finite"),
+    # the velocity is finite, but h / velocity underflows to 0
+    (16, 1e-14, 9e293, (1, 1), "CFL step underflows to 0 at chemotactic velocity 1.32584e+308"),
+])
+def test_a_velocity_that_leaves_no_step_ends_the_run_failed_at_t0(
+    tmp_path, capsys, n, L, chi, mode, reason
+):
+    """A chemotactic velocity so large that the CFL step is 0 ends the run
+    failed at its first output, with outcome.json and that output's
+    diagnostics row written and no numpy warning."""
+    doc = _short_compliant_run()
+    doc["grid"].update(n=n, L=L)
+    doc["model"]["chi"] = chi
+    doc["ic"].update(amplitude=0.3, mode_j=mode[0], mode_k=mode[1])
+    doc["outputs"]["dir"] = str(tmp_path / "out")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", str(cfg)])
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert captured.out == "outcome: failed at t=0\n"
+    assert captured.err == f"reason: {reason}\n"
+    out = tmp_path / "out"
+    doc = json.loads((out / "outcome.json").read_text())
+    assert (doc["outcome"], doc["t_final"], doc["reason"]) == ("failed", 0.0, reason)
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0")
+
+
 @pytest.mark.parametrize("snapshots", [True, False])
 def test_simulate_calls_each_phase_once_through_its_module(
     tmp_path, capsys, monkeypatch, snapshots
@@ -1076,21 +1111,19 @@ def _valid_long_run(section: str, key: str, value) -> bool:
                               ("numerics", "cfl")) and 0 < value < 1e-4
 
 
-@given(leaf=st.sampled_from([(sec, key) for sec, body in _short_compliant_run().items()
-                             for key in body]),
-       value=_LEAF_VALUES)
-@settings(max_examples=300, deadline=None)
-def test_one_leaf_mutation_ends_in_a_documented_outcome(leaf, value):
-    """simulate never raises: it returns 0-3, a return of 1 says why in one
-    error: line or as a failed outcome, and a run that began stepping writes
-    outcome.json."""
-    section, key = leaf
-    assume(not _valid_long_run(section, key, value))
-    doc = _short_compliant_run()
+def _set_leaf(body: dict, key: str, value) -> None:
     if value is _DELETE:
-        doc[section].pop(key, None)
+        body.pop(key, None)
     else:
-        doc[section][key] = value
+        body[key] = value
+
+
+def _simulate_mutated(doc: dict, numpy_errors: dict) -> tuple[list, list]:
+    """Run simulate on `doc` under np.errstate(**numpy_errors) and check that
+    it never raises: it returns 0-3, a return of 1 says why in one error:
+    line or as a failed outcome, and a run that began stepping or ended
+    failed writes outcome.json.  Returns stderr's lines and the warnings
+    issued."""
     began = []
     real = solver.step
 
@@ -1099,41 +1132,82 @@ def test_one_leaf_mutation_ends_in_a_documented_outcome(leaf, value):
         return real(*args)
 
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         cfg = Path(tmp) / "run.json"
         cfg.write_text(json.dumps(doc))
         outputs = Path(tmp) / "out"
         with (mock.patch.dict(os.environ, {"HOTSPOT_OUT": str(outputs)}),
               mock.patch.object(solver, "step", spy),
               contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-              np.errstate(all="ignore")):
+              np.errstate(**numpy_errors)):
             code = cli.main(["simulate", str(cfg)])
         assert code in (0, 1, 2, 3)
         if began:
             assert (outputs / "outcome.json").is_file()
         lines = err.getvalue().splitlines()
-        if code == 1 and not began:
+        if code == 1 and "outcome: failed" in out.getvalue():
+            # a run may fail before its first step (a velocity not finite)
+            assert (outputs / "outcome.json").is_file()
+            assert len(lines) == 1 and lines[0].startswith("reason:"), lines
+        elif code == 1:
+            assert not began
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
             assert not outputs.exists()
-        elif code == 1:
-            assert "outcome: failed" in out.getvalue()
-            assert len(lines) == 1 and lines[0].startswith("reason:"), lines
+    return lines, caught
+
+
+@given(leaf=st.sampled_from([(sec, key) for sec, body in _short_compliant_run().items()
+                             for key in body]),
+       value=_LEAF_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_one_leaf_mutation_ends_in_a_documented_outcome(leaf, value):
+    section, key = leaf
+    assume(not _valid_long_run(section, key, value))
+    doc = _short_compliant_run()
+    _set_leaf(doc[section], key, value)
+    _simulate_mutated(doc, {"all": "ignore"})
+
+
+@given(model_key=st.sampled_from(sorted(_short_compliant_run()["model"])),
+       model_value=_LEAF_VALUES,
+       ic_key=st.sampled_from(sorted(_short_compliant_run()["ic"])),
+       ic_value=_LEAF_VALUES)
+# a velocity that overflows, which the random draws alone rarely reach
+@example(model_key="chi", model_value=1e308, ic_key="amplitude", ic_value=0.3)
+@settings(max_examples=300, deadline=None)
+def test_a_model_and_an_ic_leaf_mutated_together_end_in_a_documented_outcome(
+    model_key, model_value, ic_key, ic_value
+):
+    """As the one-leaf test, under numpy's default error handling: stderr
+    holds only error: and reason: lines, and no warning is issued."""
+    doc = _short_compliant_run()
+    _set_leaf(doc["model"], model_key, model_value)
+    _set_leaf(doc["ic"], ic_key, ic_value)
+    lines, caught = _simulate_mutated(doc, {})
+    assert all(line.startswith(("error:", "reason:")) for line in lines), lines
+    assert [str(w.message) for w in caught] == []
 
 
 def test_one_exception_root():
-    import hotspotsim
-    from hotspotsim import analysis, grid, model
+    """The package defines two exception classes: HotspotError, the root of
+    every failure it names, and StepRejected, the one a smaller step may
+    cure; neither is a ValueError."""
+    import importlib
+    import pkgutil
 
-    for exc in (
-        grid.GridError,
-        model.ModelError,
-        solver.SolverError,
-        analysis.AnalysisError,
-        cli.ConfigError,
-        solver.InitialConditionError,
-    ):
+    import hotspotsim
+
+    defined = set()
+    for info in pkgutil.iter_modules(hotspotsim.__path__, "hotspotsim."):
+        module = importlib.import_module(info.name)
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert defined == {hotspotsim.HotspotError, solver.StepRejected}
+    for exc in defined:
         assert issubclass(exc, hotspotsim.HotspotError)
-    assert not issubclass(solver.InitialConditionError, ValueError)
+        assert not issubclass(exc, ValueError)
 
 
 _FRESH_CLI = """

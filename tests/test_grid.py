@@ -18,12 +18,9 @@ import hotspotsim
 from hotspotsim import grid as grid_module
 from hotspotsim.grid import (
     HELMHOLTZ_TOL,
-    GridMismatch,
     GridSpec,
-    InvalidExponent,
+    HotspotError,
     ScalarField,
-    SolveFailure,
-    UnresolvableMode,
     VectorField,
     _workspace,
     cosine_mode,
@@ -112,7 +109,7 @@ class TestFields:
     def test_mixed_grids_rejected(self):
         a = rand_field(GridSpec(L=1.0, n=8))
         b = rand_field(GridSpec(L=1.0, n=16))
-        with pytest.raises(GridMismatch):
+        with pytest.raises(HotspotError, match="^operands live on different grids$"):
             from hotspotsim.grid import _same_grid
 
             _same_grid(a, b)
@@ -184,7 +181,7 @@ class TestFunctionals:
 
     def test_lp_rejects_small_exponent(self):
         u = rand_field(GridSpec(L=1.0, n=8))
-        with pytest.raises(InvalidExponent):
+        with pytest.raises(HotspotError, match=r"^Lp norm needs p >= 1, got p=0\.5$"):
             lp_norm(u, 0.5)
 
     def test_osc(self):
@@ -222,9 +219,7 @@ class TestFunctionals:
         grid = GridSpec(L=1.0, n=8)
         vals = np.ones((8, 8))
         vals[0, 0] = 0.0
-        from hotspotsim.grid import NonPositiveField
-
-        with pytest.raises(NonPositiveField):
+        with pytest.raises(HotspotError, match="^fisher functional requires u > 0 everywhere$"):
             fisher(ScalarField(grid, vals))
 
     def test_laplacian_l2sq_matches_symbol(self):
@@ -281,7 +276,7 @@ class TestHelmholtz:
 
         monkeypatch.setattr(hotspotsim.grid, "_fft", CorruptedFFT)
         rhs = rand_field(GridSpec(L=1.0, n=32), seed=4)
-        with pytest.raises(SolveFailure, match="residual"):
+        with pytest.raises(HotspotError, match=r"^Helmholtz residual \S+ exceeds 1e-10$"):
             helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
 
     def test_zero_diffusion_reduces_to_scaling(self):
@@ -315,7 +310,7 @@ class TestCosineSampling:
         np.testing.assert_allclose(u.values, acc, atol=1e-13)
 
     def test_unresolvable_mode_rejected(self):
-        with pytest.raises(UnresolvableMode):
+        with pytest.raises(HotspotError, match="^max_mode=16 is not resolvable on n=32 cells$"):
             sample_cosine_field(0, 16, 0.1, GridSpec(L=1.0, n=32))
 
     def test_spectral_hessian_identity(self):
@@ -370,7 +365,8 @@ class TestFieldIO:
         u = rand_field(GridSpec(L=1.0, n=8))
         path = tmp_path / "u.field"
         write_field(path, u)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(HotspotError, match=r"u\.field: file grid \(L=1\.0, n=8\) "
+                                               "does not match expected grid$"):
             read_field(path, GridSpec(L=1.0, n=16))
 
     def test_huge_header_n_fails_at_the_end_of_the_file(self, tmp_path):

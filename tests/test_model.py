@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotspotsim.grid import GridSpec, ScalarField, cosine_mode, gradient
+from hotspotsim.grid import GridSpec, HotspotError, ScalarField, cosine_mode, gradient
 from hotspotsim.model import (
     DerivedBounds,
-    FloorViolation,
     GeneralModel,
-    InvalidInitialData,
     ModelParams,
-    NegativeN,
-    NonPositiveA,
     POSITIVITY_MESSAGE,
     ShortParams,
     derived_bounds,
@@ -140,12 +136,12 @@ class TestReactionTerms:
 
     def test_rejects_nonpositive_A(self):
         g = self.grid()
-        with pytest.raises(NonPositiveA):
+        with pytest.raises(HotspotError, match="^attractiveness must be positive everywhere$"):
             self.step_from(const_field(g, 0.0), const_field(g, 1.0))
 
     def test_rejects_negative_N_beyond_atol(self):
         g = self.grid()
-        with pytest.raises(NegativeN):
+        with pytest.raises(HotspotError, match=r"^criminal density fell below -1e-06$"):
             self.step_from(const_field(g, 1.0), const_field(g, -1e-3), guard_tol=1e-6)
         # small undershoot tolerated
         self.step_from(const_field(g, 1.0), const_field(g, -1e-9), guard_tol=1e-6)
@@ -166,7 +162,7 @@ class TestSensitivity:
     def test_floor_violation(self):
         grid = GridSpec(L=1.0, n=16)
         A = const_field(grid, 0.05)
-        with pytest.raises(FloorViolation):
+        with pytest.raises(HotspotError, match=r"^A dropped to 0\.05, below floor 0\.1$"):
             sensitivity_grad(A, 2.0, 0.1)
 
     def test_constant_field_gives_zero_drift(self):
@@ -195,9 +191,10 @@ class TestDerivedBounds:
     def test_rejects_bad_data(self):
         grid = GridSpec(L=1.0, n=16)
         params = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=2.0)
-        with pytest.raises(InvalidInitialData):
+        with pytest.raises(HotspotError,
+                           match="^initial attractiveness must be positive everywhere$"):
             derived_bounds(const_field(grid, -1.0), const_field(grid, 1.0), params)
-        with pytest.raises(InvalidInitialData):
+        with pytest.raises(HotspotError, match="^initial criminal density must be nonnegative$"):
             derived_bounds(const_field(grid, 1.0), const_field(grid, -0.1), params)
 
 

@@ -10,10 +10,9 @@ from hotspotsim import grid as grid_module
 from hotspotsim import model as model_module
 from hotspotsim import solver
 from hotspotsim.grid import (
-    GridMismatch,
     GridSpec,
+    HotspotError,
     ScalarField,
-    SolveFailure,
     VectorField,
     divergence,
     gradient,
@@ -26,7 +25,6 @@ from hotspotsim.model import (
     DerivedBounds,
     GeneralModel,
     ModelParams,
-    PluginOutputError,
     ShortParams,
     derived_bounds,
     sensitivity_floor,
@@ -34,11 +32,10 @@ from hotspotsim.model import (
 )
 from hotspotsim.solver import (
     InitialCondition,
-    InitialConditionError,
     Outcome,
-    PositivityBreach,
     SimConfig,
     SimState,
+    StepRejected,
     adapt_dt,
     build_initial,
     run,
@@ -142,12 +139,14 @@ class TestBuildInitial:
 
     def test_rejects_nonpositive_A(self):
         cfg = small_config(ic=InitialCondition("constants", a0=-1.0, n0=1.0))
-        with pytest.raises(InitialConditionError):
+        with pytest.raises(HotspotError,
+                           match="^initial attractiveness must be positive everywhere$"):
             build_initial(cfg)
 
     def test_unknown_recipe(self):
         cfg = small_config(ic=InitialCondition("noise", amplitude=0.1))
-        with pytest.raises(InitialConditionError):
+        with pytest.raises(HotspotError, match="^cannot build the initial condition: "
+                                               "unknown initial-condition recipe 'noise'$"):
             build_initial(cfg)
 
 
@@ -190,7 +189,7 @@ class TestStep:
         bounds = DerivedBounds(a_min=0.9, a_max=1.0, n1_max=1.0)
         A = ScalarField(grid, np.full((32, 32), 0.7))  # below guarded floor
         N = ScalarField(grid, np.ones((32, 32)))
-        with pytest.raises(PositivityBreach):
+        with pytest.raises(StepRejected, match=r"^A reached 0\.7, below guarded floor 0\.9$"):
             solver._guard(np.stack((A.values, N.values)), cfg, bounds)
 
     def test_guard_rejects_negative_density(self):
@@ -198,7 +197,7 @@ class TestStep:
         cfg = small_config()
         A = ScalarField(grid, np.ones((32, 32)))
         N = ScalarField(grid, np.full((32, 32), -1e-3))
-        with pytest.raises(PositivityBreach):
+        with pytest.raises(StepRejected, match=r"^N reached -0\.001, below -guard_tol = -1e-06$"):
             solver._guard(np.stack((A.values, N.values)), cfg, None)
 
     def test_rejects_nonpositive_dt(self):
@@ -228,7 +227,7 @@ class TestStep:
         assert new.N._min == new.N.values.min()
         # a state that no step built has its minima taken
         sunk = SimState(new.t, ScalarField(new.A.grid, new.A.values - 10.0), new.N)
-        with pytest.raises(model_module.NonPositiveA):
+        with pytest.raises(HotspotError, match="^attractiveness must be positive everywhere$"):
             step(sunk, 1e-3, cfg)
 
     def test_rejects_velocity_on_another_grid(self):
@@ -236,7 +235,7 @@ class TestStep:
         A, N = build_initial(cfg)
         other = ScalarField(GridSpec(L=1.0, n=16), np.ones((16, 16)))
         velocity = cfg.params.velocity(other, 0.5)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(HotspotError, match="^operands live on different grids$"):
             step(SimState(0.0, A, N), 1e-3, cfg, None, velocity)
 
 
@@ -348,7 +347,7 @@ class TestRun:
 
         def always_breach(state, dt, config, bounds=None, velocity=None):
             calls["n"] += 1
-            raise PositivityBreach("forced for the driver test")
+            raise StepRejected("forced for the driver test")
 
         monkeypatch.setattr(solver, "step", always_breach)
         cfg = small_config(dt_min=1e-6)
@@ -360,7 +359,7 @@ class TestRun:
 
     def test_failed_on_solver_error(self, monkeypatch):
         def explode(state, dt, config, bounds=None, velocity=None):
-            raise solver.SolverError("synthetic failure")
+            raise HotspotError("synthetic failure")
 
         monkeypatch.setattr(solver, "step", explode)
         result = run(small_config())
@@ -589,7 +588,7 @@ class TestNumericalFailuresAreOutcomes:
             ic=InitialCondition("constants", a0=0.5, n0=1.0),
         )
         A, N = build_initial(cfg)
-        with pytest.raises(PluginOutputError, match="GeneralModel.f"):
+        with pytest.raises(HotspotError, match=r"^GeneralModel\.f: field contains non-finite values$"):
             step(SimState(0.0, A, N), 1e-3, cfg)
         result = run(cfg)
         assert result.outcome.kind == "failed"
@@ -619,7 +618,8 @@ class TestNumericalFailuresAreOutcomes:
             ic=InitialCondition("constants", a0=0.5, n0=1.0),
         )
         A, N = build_initial(cfg)
-        with pytest.raises(PluginOutputError, match=f"GeneralModel.{name}") as info:
+        with pytest.raises(HotspotError, match=rf"^GeneralModel\.{name} raised "
+                                               r"ZeroDivisionError\('division by zero'\)$") as info:
             step(SimState(0.0, A, N), 1e-3, cfg)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
         result = run(cfg)
@@ -683,7 +683,7 @@ class TestNumericalFailuresAreOutcomes:
 
         monkeypatch.setattr(grid_module, "_fft", CorruptedFFT)
         rhs = ScalarField(GridSpec(L=1.0, n=32), np.full((32, 32), 0.7))
-        with pytest.raises(SolveFailure, match="residual"):
+        with pytest.raises(HotspotError, match=r"^Helmholtz residual \S+ exceeds 1e-10$"):
             helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
         result = run(small_config())
         assert result.outcome.kind == "failed"
@@ -708,7 +708,7 @@ class TestNumericalFailuresAreOutcomes:
         u = helmholtz_solve(rhs, 0.1, 1.0, 1e-3)  # the right solve passes
         assert np.isfinite(u.values).all()
         monkeypatch.setattr(grid_module, "_fft", ScaledFFT)
-        with pytest.raises(SolveFailure, match=r"residual 5\.0\d*e-01"):
+        with pytest.raises(HotspotError, match=r"^Helmholtz residual 5\.0\d*e-01 exceeds 1e-10$"):
             helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
 
     def test_nan_solution_fails_the_residual_check(self, monkeypatch):
@@ -725,7 +725,7 @@ class TestNumericalFailuresAreOutcomes:
 
         monkeypatch.setattr(grid_module, "_fft", NanFFT)
         rhs = ScalarField(GridSpec(L=1.0, n=16), np.full((16, 16), 0.7))
-        with pytest.raises(SolveFailure, match="residual nan"):
+        with pytest.raises(HotspotError, match="^Helmholtz residual nan exceeds 1e-10$"):
             helmholtz_solve(rhs, 0.1, 1.0, 1e-3)
 
 
@@ -768,7 +768,7 @@ class TestHalvedFailures:
             solver, "_helmholtz", lambda *args: solves.append(None) or real(*args)
         )
         with np.errstate(over="ignore"):
-            with pytest.raises(solver.NonFinite, match="explicit stage"):
+            with pytest.raises(StepRejected, match="^explicit stage produced non-finite values$"):
                 step(SimState(0.0, A, N), 2.0, cfg)
         assert solves == []
 
@@ -795,7 +795,7 @@ class TestHalvedFailures:
             0.0, ScalarField(grid, np.full((16, 16), 0.8)),
             ScalarField(grid, np.full((16, 16), -0.9)),
         )
-        with pytest.raises(PositivityBreach, match="A lost positivity"):
+        with pytest.raises(StepRejected, match="^A lost positivity$"):
             step(state, 2.0, cfg)
         assert step(state, 0.5, cfg).A.values.min() > 0
 
@@ -808,7 +808,7 @@ class TestHalvedFailures:
             t_end=0.04, dt_init=0.04, output_every=0.04,
         )
         A, N = build_initial(cfg)
-        with pytest.raises(PositivityBreach, match="A lost positivity"):
+        with pytest.raises(StepRejected, match="^A lost positivity$"):
             step(SimState(0.0, A, N), 0.04, cfg)
         result = run(cfg)
         assert result.outcome.kind == "completed"
@@ -974,7 +974,7 @@ class TestStepMatchesReference:
         grid_module._workspace.cache_clear()
         fresh = step(state, 1e-4, cfg, bounds)
         velocity = params._face_velocity(state.A, a_floor)
-        with pytest.raises(PositivityBreach):
+        with pytest.raises(StepRejected, match="^(A reached .+|A lost positivity|N reached .+)$"):
             step(state, 0.5, cfg, bounds, velocity)
         retried = step(state, 1e-4, cfg, bounds, velocity)
         assert retried.A.values.tobytes() == fresh.A.values.tobytes()
@@ -1110,7 +1110,9 @@ class TestModelProtocol:
 
     def test_general_model_has_no_perturbed_steady_state(self):
         cfg = small_config(params=self.KINDS["general"])
-        with pytest.raises(InitialConditionError, match="built-in model kinds"):
+        with pytest.raises(HotspotError, match="^cannot build the initial condition: "
+                                               "perturbed_steady is only defined for the "
+                                               "built-in model kinds$"):
             build_initial(cfg)
 
 
