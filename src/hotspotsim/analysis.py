@@ -17,7 +17,7 @@ import numpy as np
 
 from . import grid as g
 from .grid import HotspotError, ScalarField, spectral_hessian_norms
-from .model import DerivedBounds, ModelParams, sensitivity_floor, sensitivity_grad
+from .model import DerivedBounds, ModelParams, sensitivity_floor
 
 
 # Square-domain constants: best-constant bounds mu^2 <= 3/2 and K <= 12,
@@ -110,7 +110,8 @@ def critical_constants(eta: float, psi: float, area: float) -> tuple[float, floa
     critical static attractiveness atilde_- = 2 / (1 + sqrt(1 + 4 gamma eta))."""
     if eta <= 0 or psi <= 0 or area <= 0:
         raise ValueError("eta, psi, area must be positive")
-    gamma = 1.0 / (12.0 * math.sqrt(3.0) * area * psi)
+    denominator = 12.0 * math.sqrt(3.0) * area * psi  # 0 where psi * area underflows
+    gamma = 1.0 / denominator if denominator > 0 else math.inf
     if not math.isfinite(gamma):
         raise ValueError(f"gamma overflows a double at psi={psi:g}, area={area:g}")
     atilde_minus = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * gamma * eta))
@@ -353,7 +354,7 @@ def _output_terms(
     grad_n = g.gradient(N)
     grad_n_l2sq = float(np.sum(g._grad_sq_cells(grad_n))) * area_w
     fisher_n = g._fisher(grad_n, n)
-    theta_grad = sensitivity_grad(A, params.chi, sensitivity_floor(A))
+    theta_grad = params.velocity(A, sensitivity_floor(A))
     theta_dot = _grad_dot(grad_n, theta_grad)
     drift_n = _weighted_grad_dot(n, grad_n, theta_grad)
     source_n = omega * g.integral(N)
@@ -382,14 +383,19 @@ def _energy_balances(times, terms, params: ModelParams) -> EnergyResiduals:
     )
 
 
+def _uniform_spacing(t0: float, t1: float, t2: float) -> bool:
+    """Whether three output times are uniformly spaced: their two gaps
+    differ by at most 1e-9 of the larger one."""
+    return abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
+
+
 def energy_residuals(window, params: ModelParams) -> EnergyResiduals:
     """Absolute defects of the four energy balances on a uniformly spaced
     window of three consecutive outputs ((t-d, A, N), (t, A, N), (t+d, A, N)),
     with time derivatives by central differences at the middle time; run()
     takes the same _output_terms of each output and combines them alike."""
     (t0, _, _), (t1, _, _), (t2, _, _) = window
-    d0, d1 = t1 - t0, t2 - t1
-    if d0 <= 0 or abs(d1 - d0) > 1e-9 * max(d0, d1):
+    if not (t1 - t0 > 0 and _uniform_spacing(t0, t1, t2)):
         raise ValueError("window must be uniformly spaced in time")
     if min(np.min(N.values) for _, _, N in window) <= 0:
         raise HotspotError("the entropy balance needs N > 0 on the whole window")

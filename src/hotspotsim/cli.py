@@ -320,30 +320,38 @@ def cmd_verify(args) -> int:
     if args.n < 32:
         raise ValueError("--n must be at least 32")
     grid = GridSpec(L=1.0, n=args.n)
-    worst_ratio_l1 = 0.0
-    worst_ratio_k = 0.0
-    worst_gap = 0.0
-    worst_slack = math.inf
-    skipped = 0
+    probes = []  # (ratio_l1, ratio_K, fourier_gap, sobolev_slack) of each sample probed
     for i in range(args.samples):
-        field, coeffs = sample_cosine_field(args.seed + i, args.max_mode, args.amplitude, grid)
-        if osc(field) <= 1e-13:
-            skipped += 1
-            print(f"sample {i}: degenerate constant field skipped")
-            continue
-        p = analysis.poincare_probe(field)
-        worst_ratio_l1 = max(worst_ratio_l1, p.ratio_l1)
-        k = analysis.interpolation_probe(field, coeffs)
-        worst_ratio_k = max(worst_ratio_k, k.ratio_K)
-        worst_gap = max(worst_gap, k.fourier_gap)
-        shifted = ScalarField(grid, field.values + 1.0 + args.amplitude)
-        if np.min(shifted.values) <= 0:
-            shifted = ScalarField(
-                grid, field.values - float(np.min(field.values)) + 1.0
+        # a probe that overflows or is not finite is evidence of nothing
+        try:
+            with np.errstate(all="ignore"):
+                field, coeffs = sample_cosine_field(
+                    args.seed + i, args.max_mode, args.amplitude, grid
+                )
+                if osc(field) <= 1e-13:
+                    print(f"sample {i}: degenerate constant field skipped")
+                    continue
+                p = analysis.poincare_probe(field)
+                k = analysis.interpolation_probe(field, coeffs)
+                shifted = ScalarField(grid, field.values + 1.0 + args.amplitude)
+                if np.min(shifted.values) <= 0:
+                    shifted = ScalarField(grid, field.values - float(np.min(field.values)) + 1.0)
+                    print(f"sample {i}: shift raised to keep the field positive")
+                ps = analysis.poincare_probe(shifted)
+            probe = (p.ratio_l1, k.ratio_K, k.fourier_gap, ps.sobolev_slack)
+        except OverflowError:  # a Python float that overflowed
+            probe = (math.inf,)
+        if not all(map(math.isfinite, probe)):
+            raise HotspotError(
+                f"sample {i}: a probe is not finite at --amplitude {args.amplitude:g}"
             )
-            print(f"sample {i}: shift raised to keep the field positive")
-        ps = analysis.poincare_probe(shifted)
-        worst_slack = min(worst_slack, ps.sobolev_slack)
+        probes.append(probe)
+    if not probes:
+        raise HotspotError("every sampled field was constant, so no probe ran")
+    skipped = args.samples - len(probes)
+    columns = list(zip(*probes))
+    worst_ratio_l1, worst_ratio_k, worst_gap = (max(column) for column in columns[:3])
+    worst_slack = min(columns[3])
     mu_bound = math.sqrt(analysis.MU_SQ_SQUARE)
     print(f"samples: {args.samples} (skipped {skipped})")
     print(f"worst ratio_l1: {worst_ratio_l1:.12g} (bound {mu_bound:.12g})")
@@ -407,8 +415,8 @@ def build_parser() -> _Parser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_std = sub.add_parser("steady", help="homogeneous steady state")
-    p_std.add_argument("--psi", type=float, required=True)
-    p_std.add_argument("--atilde", type=float, required=True)
+    p_std.add_argument("--psi", type=_finite_flag, required=True)
+    p_std.add_argument("--atilde", type=_finite_flag, required=True)
     p_std.set_defaults(fn=cmd_steady)
 
     return parser

@@ -204,12 +204,6 @@ class VectorField:
         if fx[0].any() or fx[-1].any() or fy[:, 0].any() or fy[:, -1].any():
             raise ValueError("boundary-normal face components must be zero (no-flux)")
 
-    def max_abs(self) -> float:
-        """max |v| over both components, taken as max(max v, -min v) so that
-        no |v| temporary is built; the same value for finite components."""
-        fx, fy = self.fx, self.fy
-        return float(max(fx.max(), -fx.min(), fy.max(), -fy.min()))
-
 
 class _Faces:
     """A face field in the workspace layout: fx on x-normal faces (n+1, n),
@@ -243,7 +237,8 @@ class _Faces:
         self._wrap.fill(0.0)
 
     def max_abs(self) -> float:
-        """As VectorField.max_abs; the zero faces are fewer, the value the same."""
+        """max |v| over all faces, taken as max(max v, -min v) so that no |v|
+        temporary is built; the same value for finite faces."""
         return float(max(self._all.max(), -self._all.min()))
 
     def divergence(self, out: np.ndarray, scratch: np.ndarray, h: float) -> np.ndarray:
@@ -260,12 +255,6 @@ class _Faces:
         fy = np.zeros((n, n + 1))
         fy[:, 1:-1] = self.fy[:, :-1]
         return VectorField(self.grid, self.fx.copy(), fy)
-
-    def assign(self, F: VectorField) -> "_Faces":
-        """Copy the VectorField F into these faces."""
-        np.copyto(self.fx, F.fx)
-        self.fy[:, :-1] = F.fy[:, 1:-1]
-        return self
 
 
 def _pairs(v: np.ndarray) -> tuple:

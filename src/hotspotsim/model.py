@@ -19,7 +19,6 @@ from .grid import (
     _pairs,
     _same_grid,
     _workspace,
-    gradient,
     lp_norm,
 )
 
@@ -31,8 +30,9 @@ POSITIVITY_MESSAGE = (
 
 class ModelKind:
     """What the solver asks of a model: its reaction split into an explicit
-    part and implicit linear decay rates, its chemotactic face velocity,
-    its homogeneous steady state and its invariant-region bounds."""
+    part and implicit linear decay rates (_reaction), its chemotactic face
+    velocity (_face_velocity), its homogeneous steady state and its
+    invariant-region bounds; the public reaction and velocity derive from them."""
 
     def reaction(self, grid: GridSpec, a: np.ndarray, n: np.ndarray):
         """(rA, rN, lam_A, lam_N), so A_t = eta Lap A + rA - lam_A A etc.
@@ -46,12 +46,34 @@ class ModelKind:
         raise NotImplementedError
 
     def velocity(self, A: ScalarField, a_floor: float) -> VectorField:
-        return sensitivity_grad(A, self.chi, a_floor)
+        """The chemotactic face velocity of A, with arrays of its own."""
+        return self._face_velocity(A, a_floor).vector_field()
 
     def _face_velocity(self, A: ScalarField, a_floor: float) -> _Faces:
         """The velocity of A in the grid workspace's velocity faces, which
-        the next velocity built on that grid overwrites."""
-        return _sensitivity_faces(A, self.chi, a_floor)
+        the next velocity built on that grid overwrites.  For the built-in
+        kinds it is chi * grad(A) / A with A averaged to faces: chi * diff /
+        h / face mean on each interior face, in place, as chi * diff / (h/2)
+        / face sum, the same bits (2 chi would overflow for chi > 9e307).
+        The y faces take one contiguous call per operation over the
+        flattened cells (see _Faces), with the face sums in the workspace's
+        scratch; a field a step built brings the workspace and its pairs
+        (_views)."""
+        if a_floor <= 0:
+            raise ValueError("a_floor must be positive")
+        if A._minimum() < a_floor:
+            raise HotspotError(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
+        ws, (x_hi, x_lo, y_hi, y_lo) = A._views or (_workspace(A.grid), _pairs(A.values))
+        faces, half_h = ws.velocity, ws.half_h
+        for hi, lo, v, total in ((x_hi, x_lo, faces.fx_in, ws.sums[0]),
+                                 (y_hi, y_lo, faces.fy_in, ws.sums[1])):
+            np.add(hi, lo, out=total)
+            np.subtract(hi, lo, out=v)
+            v *= self.chi
+            v /= half_h
+            v /= total
+        faces.close()
+        return faces
 
     def steady_state(self) -> tuple[float, float]:
         raise ValueError("perturbed_steady is only defined for the built-in model kinds")
@@ -174,12 +196,16 @@ class GeneralModel(ModelKind):
             np.copyto(slot, plugin_field(grid, name, fn, a, n).values)
         return *slots, 1.0, self.omega
 
-    def velocity(self, A, a_floor):
-        # generalized sensitivity: gradient of h(A) sampled at cells
-        return gradient(plugin_field(A.grid, "h", self.h, A.values))
-
     def _face_velocity(self, A, a_floor):
-        return _workspace(A.grid).velocity.assign(self.velocity(A, a_floor))
+        # generalized sensitivity: the face gradient of h(A) sampled at cells,
+        # by the per-element operations of grid.gradient, so the same bits
+        faces, h = _workspace(A.grid).velocity, A.grid.h
+        x_hi, x_lo, y_hi, y_lo = _pairs(plugin_field(A.grid, "h", self.h, A.values).values)
+        for hi, lo, v in ((x_hi, x_lo, faces.fx_in), (y_hi, y_lo, faces.fy_in)):
+            np.subtract(hi, lo, out=v)
+            v /= h
+        faces.close()
+        return faces
 
 
 def plugin_field(grid: GridSpec, name: str, fn: Callable, *args) -> ScalarField:
@@ -204,38 +230,9 @@ def _eval_envelope(e: EnvelopeFn, a: np.ndarray) -> np.ndarray:
 # Chemotactic sensitivity
 # ---------------------------------------------------------------------------
 
-def sensitivity_grad(A: ScalarField, chi: float, a_floor: float) -> VectorField:
-    """Face-centered chi * grad(A) / A with A averaged to faces."""
-    return _sensitivity_faces(A, chi, a_floor).vector_field()
-
-
-def _sensitivity_faces(A: ScalarField, chi: float, a_floor: float) -> _Faces:
-    """sensitivity_grad into the grid workspace's velocity faces: chi *
-    diff / h / face mean on each interior face, in place, as chi * diff /
-    (h/2) / face sum, the same bits (2 chi would overflow for chi > 9e307).
-    The y faces take one contiguous call per operation over the flattened
-    cells (see _Faces), with the face sums in the workspace's scratch; a
-    field a step built brings the workspace and its pairs (_views)."""
-    if a_floor <= 0:
-        raise ValueError("a_floor must be positive")
-    if A._minimum() < a_floor:
-        raise HotspotError(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
-    ws, (x_hi, x_lo, y_hi, y_lo) = A._views or (_workspace(A.grid), _pairs(A.values))
-    faces, half_h = ws.velocity, ws.half_h
-    for hi, lo, v, total in ((x_hi, x_lo, faces.fx_in, ws.sums[0]),
-                             (y_hi, y_lo, faces.fy_in, ws.sums[1])):
-        np.add(hi, lo, out=total)
-        np.subtract(hi, lo, out=v)
-        v *= chi
-        v /= half_h
-        v /= total
-    faces.close()
-    return faces
-
-
 def sensitivity_floor(A: ScalarField, bounds: DerivedBounds | None = None) -> float:
-    """The a_floor below which sensitivity_grad refuses A: half of the
-    bounds' a_min, or without bounds half of min(A)."""
+    """The a_floor below which the built-in kinds' velocity refuses A: half
+    of the bounds' a_min, or without bounds half of min(A)."""
     return (bounds.a_min if bounds is not None else float(np.min(A.values))) / 2.0
 
 

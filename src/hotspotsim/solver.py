@@ -22,7 +22,6 @@ from .grid import (
     GridSpec,
     HotspotError,
     ScalarField,
-    VectorField,
     _Faces,
     _helmholtz,
     _same_grid,
@@ -186,16 +185,16 @@ def step(
     dt: float,
     config: SimConfig,
     bounds: Optional[DerivedBounds] = None,
-    velocity: VectorField | _Faces | None = None,
+    velocity: _Faces | None = None,
 ) -> SimState:
     """One IMEX update: explicit chemotactic transport and nonlinear
     reaction, then implicit Helmholtz solves for diffusion and linear decay,
     on the grid's workspace buffers.  The result's fields keep the minima
     the guards took (so they must not be changed in place) and are the
     slices of one new array, or in run() of its other state stack.
-    `velocity` is the chemotactic face velocity of state.A, a VectorField
-    or the workspace faces that ModelKind._face_velocity fills; when None,
-    the step computes it with `sensitivity_floor(A, bounds)`."""
+    `velocity` is the chemotactic face velocity of state.A, in the
+    workspace faces that ModelKind._face_velocity fills; when None, the
+    step computes it with `sensitivity_floor(A, bounds)`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
@@ -217,8 +216,6 @@ def step(
     if velocity is None:
         velocity = params._face_velocity(A, sensitivity_floor(A, bounds))
     _same_grid(A, velocity)
-    if isinstance(velocity, VectorField):
-        velocity = ws.velocity.assign(velocity)
     divisor = _advective_flux(src.pairs[1], velocity, config.flux_scheme, ws.flux)
 
     # A + dt*rA and N + dt*(div(flux) + rN) in the workspace's rhs stack,
@@ -257,7 +254,7 @@ def _guard(
     return a_min, n_min
 
 
-def adapt_dt(velocity: VectorField | _Faces, config: SimConfig, dt_prev: float) -> float:
+def adapt_dt(velocity: _Faces, config: SimConfig, dt_prev: float) -> float:
     """Grow the step by at most 10%, limited by the advective CFL condition
     on the chemotactic face velocity and by the output cadence; a velocity
     that is not finite, or whose CFL step underflows to 0, is a HotspotError."""
@@ -408,7 +405,6 @@ def _slide_window(window, state: SimState, records, params, last: bool) -> None:
     ))
     if len(window) == 3:
         (t0, s0), (t1, s1), (t2, s2) = window
-        uniform = abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t1 - t0, t2 - t1)
-        if uniform and None not in (s0, s1, s2):
+        if analysis._uniform_spacing(t0, t1, t2) and None not in (s0, s1, s2):
             records[-2].residuals = analysis._energy_balances((t0, t1, t2), (s0, s1, s2), params)
         del window[0]

@@ -33,7 +33,6 @@ from hotspotsim.grid import GridSpec, HotspotError, ScalarField, cosine_mode, sa
 from hotspotsim.model import (
     DerivedBounds,
     ModelParams,
-    sensitivity_grad,
     steady_state,
 )
 from hotspotsim.solver import SimState
@@ -310,7 +309,7 @@ def _reference_energy_residuals(window, params):
         + p.eta * g.laplacian_l2sq(A1)
         + p.psi * float(np.sum(n * a * (1.0 - a) * g.laplacian(A1).values)) * h2
     )
-    theta = sensitivity_grad(A1, p.chi, float(np.min(a)) / 2.0)
+    theta = p.velocity(A1, float(np.min(a)) / 2.0)
     G = g.gradient(N1)
     id3_rhs = p.omega * float(np.sum(np.log(n) - n + 1.0)) * h2
     r3 = abs(

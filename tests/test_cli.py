@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,7 +69,7 @@ class TestSteady:
     def test_rejects_nonpositive(self, capsys):
         assert cli.main(["steady", "--psi", "-1", "--atilde", "0.7"]) == 1
 
-    @pytest.mark.parametrize("psi", ["1e308", "inf"])
+    @pytest.mark.parametrize("psi", ["1e308"])
     def test_no_finite_fixed_point_is_one_error_line(self, capsys, psi):
         assert cli.main(["steady", "--psi", psi, "--atilde", "0.7"]) == 1
         captured = capsys.readouterr()
@@ -199,8 +200,10 @@ class TestNumericFlags:
     @pytest.mark.parametrize("flag", sorted(STEADY_FLAGS))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_steady_flag_is_one_error_line(self, capsys, flag, value):
-        # steady_state rejects them (see TestSteady)
-        self.assert_one_error_line(capsys, _flags("steady", {**STEADY_FLAGS, flag: value}))
+        # the flag is named; --psi inf was "error: steady-state residual nan
+        # exceeds 1.000e-12" from steady_state
+        line = self.assert_one_error_line(capsys, _flags("steady", {**STEADY_FLAGS, flag: value}))
+        assert f"--{flag}" in line
 
 
 class TestTable:
@@ -220,6 +223,15 @@ class TestTable:
 
     def test_rejects_negative_eta(self, capsys):
         assert cli.main(["table", "--psi", "0.01", "--area", "1", "--eta-list", "-1"]) == 1
+
+    def test_gamma_denominator_that_underflows_is_the_overflow_error(self, capsys):
+        # a ZeroDivisionError traceback: 12 sqrt(3) area psi underflowed to 0
+        rc = cli.main(["table", "--psi", "1e-320", "--area", "1e-9", "--eta-list", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma overflows a double at psi=")
+        assert captured.err.count("\n") == 1
 
 
 class TestVerify:
@@ -244,6 +256,43 @@ class TestVerify:
         assert len(errors) == 1
         assert "--amplitude" in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("amplitude, error", [
+        # exit 0 and "no counterexample found" with worst ratio_K 0, the NaN
+        # ratio inf/inf dropped by max(), after a numpy RuntimeWarning
+        ("1e100", "error: sample 0: a probe is not finite at --amplitude 1e+100"),
+        # OverflowError tracebacks from a float power in interpolation_probe
+        ("1e154", "error: sample 0: a probe is not finite at --amplitude 1e+154"),
+        ("1e200", "error: sample 0: a probe is not finite at --amplitude 1e+200"),
+        # an OverflowError traceback from rng.uniform in sample_cosine_field
+        ("9e307", "error: sample 0: a probe is not finite at --amplitude 9e+307"),
+        # exit 0 and "no counterexample found" with every sample skipped
+        ("1e-300", "error: every sampled field was constant, so no probe ran"),
+    ], ids=["1e100", "1e154", "1e200", "9e307", "1e-300"])
+    def test_probe_that_is_not_finite_is_one_error_line(self, capsys, amplitude, error):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+                           "--amplitude", amplitude])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == [error]
+        assert "worst" not in captured.out
+        assert [str(w.message) for w in caught] == []
+
+    def test_stdout_of_a_finite_sweep_is_unchanged(self, capsys):
+        assert cli.main(["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+                         "--amplitude", "1"]) == 0
+        # the same bytes as before a probe was checked for finiteness
+        assert capsys.readouterr().out.splitlines() == [
+            "sample 1: shift raised to keep the field positive",
+            "samples: 2 (skipped 0)",
+            "worst ratio_l1: 0.243779771306 (bound 1.22474487139)",
+            "worst ratio_K: 0.078265434914 (bound 12)",
+            "worst fourier_gap (relative): 1.695e-16",
+            "worst sobolev_slack: 4.863e+01 (must be >= -1e-10)",
+            "no counterexample found at sampled fields",
+        ]
 
 
 class TestSimulate:
@@ -1187,6 +1236,96 @@ def test_a_model_and_an_ic_leaf_mutated_together_end_in_a_documented_outcome(
     lines, caught = _simulate_mutated(doc, {})
     assert all(line.startswith(("error:", "reason:")) for line in lines), lines
     assert [str(w.message) for w in caught] == []
+
+
+# flag tokens of every class: finite, not finite, tiny, huge, negative and
+# not a number
+_NUMBER_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0", "0.5", "1", "2", "12", "-1", "-1e308", "1e-9", "1e-300",
+                     "1e-320", "5e-324", "1e100", "1e154", "1e200", "9e307", "1e308",
+                     "1e400", "nan", "inf", "-inf"]),
+    st.sampled_from(["", "x", "0x10", "1,2"]),
+)
+
+
+def _int_tokens(high: int):
+    return st.one_of(st.integers(-3, high).map(str), st.sampled_from(["", "x", "1.5", "1e3"]))
+
+
+# command -> flag -> (tokens, whether a draw may leave the flag out); verify
+# stays at n <= 64 and at most 2 samples, so every draw is quick
+_COMMAND_FLAGS = {
+    "check": {**{flag: (_NUMBER_TOKENS, False) for flag in CHECK_FLAGS},
+              "L": (_NUMBER_TOKENS, True), "mu": (_NUMBER_TOKENS, True),
+              "K": (_NUMBER_TOKENS, True)},
+    "table": {"psi": (_NUMBER_TOKENS, False), "area": (_NUMBER_TOKENS, False),
+              "eta-list": (st.lists(_NUMBER_TOKENS, min_size=1, max_size=3).map(",".join),
+                           False)},
+    "verify": {"n": (_int_tokens(64), True), "samples": (_int_tokens(2), False),
+               "seed": (st.one_of(_int_tokens(10 ** 6), st.just(str(2 ** 70))), True),
+               "max-mode": (_int_tokens(40), True), "amplitude": (_NUMBER_TOKENS, True)},
+    "steady": {"psi": (_NUMBER_TOKENS, False), "atilde": (_NUMBER_TOKENS, False)},
+}
+
+
+@st.composite
+def _command_argv(draw) -> list:
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag, (tokens, optional) in _COMMAND_FLAGS[command].items():
+        if not (optional and draw(st.booleans())):
+            argv += [f"--{flag}", draw(tokens)]
+    return argv
+
+
+def _not_json(literal: str):
+    raise AssertionError(f"check printed {literal}, which is not JSON")
+
+
+@given(argv=_command_argv())
+@example(argv=["table", "--psi", "1e-320", "--area", "1e-9", "--eta-list", "1"])
+@example(argv=["steady", "--psi", "inf", "--atilde", "0.5"])
+@example(argv=["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+               "--amplitude", "1e100"])
+@example(argv=["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+               "--amplitude", "1e154"])
+@example(argv=["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+               "--amplitude", "1e200"])
+@example(argv=["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+               "--amplitude", "9e307"])
+@example(argv=["verify", "--n", "32", "--samples", "2", "--max-mode", "2",
+               "--amplitude", "1e-300"])
+@settings(max_examples=300, deadline=None)
+def test_every_flag_of_every_command_ends_in_a_documented_outcome(argv):
+    """Under numpy's default error handling, a command given any flag values
+    exits 0, 1 or 2 and issues no warning; stderr holds nothing or, with
+    exit 1, argparse's usage lines and one error: line; a check that exits
+    0 or 2 prints JSON, and a verify that exits 0 prints only finite worst
+    values."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          np.errstate(divide="warn", over="warn", invalid="warn", under="ignore")):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    if code != 1:
+        assert lines == []
+    else:
+        *usage, error = lines
+        assert "error:" in error and not any("error:" in line for line in usage), lines
+        assert all(line.startswith(" ") for line in usage[1:]), lines
+        assert usage == [] or usage[0].startswith("usage:"), lines
+    if code != 1 and argv[0] == "check":
+        json.loads(out.getvalue(), parse_constant=_not_json)
+    if code == 0 and argv[0] == "verify":
+        worst = [line.split(": ")[1].split()[0] for line in out.getvalue().splitlines()
+                 if line.startswith("worst ")]
+        assert len(worst) == 4
+        assert all(math.isfinite(float(value)) for value in worst), out.getvalue()
 
 
 def test_one_exception_root():

@@ -13,7 +13,6 @@ from hotspotsim.model import (
     POSITIVITY_MESSAGE,
     ShortParams,
     derived_bounds,
-    sensitivity_grad,
     short_steady_state,
     steady_state,
     validate_general_hypotheses,
@@ -147,12 +146,16 @@ class TestReactionTerms:
         self.step_from(const_field(g, 1.0), const_field(g, -1e-9), guard_tol=1e-6)
 
 
+def main_params(chi):
+    return ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=chi)
+
+
 class TestSensitivity:
     def test_matches_grad_log_for_smooth_field(self):
         grid = GridSpec(L=1.0, n=256)
         A = ScalarField(grid, 1.0 + 0.3 * cosine_mode(grid, 1, 0).values)
         chi = 2.0
-        V = sensitivity_grad(A, chi, 0.1)
+        V = main_params(chi).velocity(A, 0.1)
         logA = ScalarField(grid, chi * np.log(A.values))
         G = gradient(logA)
         # both are O(h^2) consistent with chi grad log A; compare to each other
@@ -163,12 +166,12 @@ class TestSensitivity:
         grid = GridSpec(L=1.0, n=16)
         A = const_field(grid, 0.05)
         with pytest.raises(HotspotError, match=r"^A dropped to 0\.05, below floor 0\.1$"):
-            sensitivity_grad(A, 2.0, 0.1)
+            main_params(2.0).velocity(A, 0.1)
 
     def test_constant_field_gives_zero_drift(self):
         grid = GridSpec(L=1.0, n=16)
-        V = sensitivity_grad(const_field(grid, 0.7), 2.0, 0.1)
-        assert V.max_abs() == 0.0
+        V = main_params(2.0).velocity(const_field(grid, 0.7), 0.1)
+        assert not V.fx.any() and not V.fy.any()
 
 
 class TestDerivedBounds:
