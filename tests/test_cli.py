@@ -69,13 +69,20 @@ class TestSteady:
     def test_rejects_nonpositive(self, capsys):
         assert cli.main(["steady", "--psi", "-1", "--atilde", "0.7"]) == 1
 
-    @pytest.mark.parametrize("psi", ["1e308"])
-    def test_no_finite_fixed_point_is_one_error_line(self, capsys, psi):
+    @pytest.mark.parametrize("psi, error, lines", [
+        ("1e308", "error: steady-state residual nan", 1),
+        # usage plus the flag's error; it was "error: steady-state residual
+        # nan exceeds 1.000e-12" from steady_state
+        ("inf", "hotspot steady: error: argument --psi: must be a finite number", 2),
+    ], ids=["1e308", "inf"])
+    def test_no_finite_fixed_point_is_one_error_line(self, capsys, psi, error, lines):
         assert cli.main(["steady", "--psi", psi, "--atilde", "0.7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: steady-state residual nan")
-        assert captured.err.count("\n") == 1
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert errors[0].startswith(error)
+        assert captured.err.count("\n") == lines
 
     def test_no_finite_fixed_point_under_optimize(self):
         # an assert would vanish under -O and print A* = nan with exit 0
