@@ -16,8 +16,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import grid as g
-from .grid import HotspotError, ScalarField, spectral_hessian_norms
-from .model import DerivedBounds, ModelParams, sensitivity_floor
+from .grid import HotspotError, ScalarField, _pairs, _same_grid, _workspace, spectral_hessian_norms
+from .model import DerivedBounds, ModelParams
 
 
 # Square-domain constants: best-constant bounds mu^2 <= 3/2 and K <= 12,
@@ -266,14 +266,17 @@ def verify_apriori(
 ) -> BoundFlags:
     """Check the invariant-region bounds on A, the exponential lower bound
     on N and the exact L1 law of N at the state's time."""
+    a, n = state.A.values, state.N.values
+    extrema = float(np.min(a)), float(np.max(a)), float(np.min(n))
+    return _bound_flags(state.t, *extrema, g.integral(state.N), state.A.grid.area,
+                        bounds, params, n0_mass, tol)
+
+
+def _bound_flags(t, min_a, max_a, min_n, mass, area, bounds, params, n0_mass, tol) -> BoundFlags:
+    """verify_apriori from a state's extrema and the mass of its N."""
     span = bounds.a_max - bounds.a_min
-    min_a = float(np.min(state.A.values))
-    max_a = float(np.max(state.A.values))
-    min_n = float(np.min(state.N.values))
-    decay = math.exp(-params.omega * state.t)
+    decay = math.exp(-params.omega * t)
     n_floor = 1.0 - decay
-    area = state.A.grid.area
-    mass = g.integral(state.N)
     expected_mass = decay * n0_mass + area * (1.0 - decay)
     return BoundFlags(
         amin_ok=min_a >= bounds.a_min - tol * span,
@@ -299,72 +302,137 @@ class EnergyResiduals:
     id3_sign_ok: bool  # omega int(log N - N + 1) <= 0
 
 
-def _grad_dot(G, F) -> float:
-    """int grad(u) . F dx over interior faces, from G = grad(u); the x-face
-    sum is taken before the y-face product is built."""
-    h2 = G.grid.h ** 2
-    x = np.sum(G.fx * F.fx)
-    return float((x + np.sum(G.fy * F.fy)) * h2)
+def _output_scalars(A: ScalarField, N: ScalarField, params, main: bool = False,
+                    c: Optional[float] = None, middle: bool = False):
+    """Every scalar that one output gives its diagnostics record and its
+    energy balances, in one pass that allocates nothing of n^2 size.  Each
+    n x n intermediate goes into a grid workspace buffer that the next step
+    overwrites before it reads it: the residual slices, the flux faces and
+    the velocity faces (never the rhs slots, which ModelKind.reaction hands
+    out, nor the cached denominators).  Each scalar keeps the operations,
+    operand order and summed array shapes of the functional it equals, so
+    its bits too; gradient(A) and log N are each taken once.
 
-
-def _weighted_grad_dot(w: np.ndarray, G, F) -> float:
-    """int w grad(u) . F dx from the values w and G = grad(u); each face
-    family's means of w are built, used in place and dropped in turn."""
-    h2 = G.grid.h ** 2
-    x = g._face_mean_x(w)
-    x *= G.fx[1:-1, :]
-    x *= F.fx[1:-1, :]
-    x = np.sum(x)
-    y = g._face_mean_y(w)
-    y *= G.fy[:, 1:-1]
-    y *= F.fy[:, 1:-1]
-    return float((x + np.sum(y)) * h2)
-
-
-def _output_terms(
-    A: ScalarField, N: ScalarField, grad_A_l2sq: float, params: ModelParams, middle: bool
-):
-    """The scalars that the energy balances take from one output of N > 0,
-    so that its fields need not be kept for them: the outer terms, read in
-    every window the output sits in, and, for the `middle` output of a
-    window, the terms at its time (else None).  The outer terms are
-    ||A||_2^2, ||grad A||_2^2 (given, as a diagnostics record has it), the
-    Boltzmann entropy of N and ||N||_2^2."""
-    outer = (g.lp_norm(A, 2) ** 2, grad_A_l2sq, boltzmann_entropy(N), g.lp_norm(N, 2) ** 2)
-    if not middle:
-        return outer, None
-    area_w = A.grid.h ** 2
+    Returns (mass_N, minA, maxA, minN, ||grad A||_2^2, entropy, Y, terms),
+    the last three None unless `main` asks for the main model's: the
+    Boltzmann entropy of N (an error where N < 0), Y when `c` is given (an
+    error where A <= 0), and, where N > 0, the (outer, middle) terms that
+    _energy_balances takes.  The outer terms are ||A||_2^2, ||grad A||_2^2,
+    the Boltzmann entropy of N and ||N||_2^2, read in every window the
+    output sits in; the middle terms, those at its time, are taken when
+    `middle` asks for them and A > 0, else None."""
+    grid = _same_grid(A, N)
+    ws, h2, m = _workspace(grid), grid.h ** 2, grid.n
     a, n = A.values, N.values
-    psi, eta, omega = params.psi, params.eta, params.omega
+    r0, r1 = ws.scratch  # the residual slices, (m, m) each, and as one array:
+    flat = ws.residual.reshape(-1)
+    min_a, max_a, min_n = float(np.min(a)), float(np.max(a)), float(np.min(n))
+    mass = float(np.sum(n)) * h2
+    outer = main and min_n > 0
+    mid = outer and middle and min_a > 0
 
-    # each integral is taken, and its n^2 temporaries dropped, before the
-    # arrays of the next are built, so few are alive at once; every one
-    # keeps its operations and their order
-    reaction_a = psi * float(np.sum(n * a ** 2 * (1.0 - a))) * area_w
-    source_a = params.atilde * g.integral(A)
+    # grad A in the flux faces: its divergence is the Laplacian of the r2
+    # terms, and then ||grad A||^2 squares it in place
+    G = g.gradient(A, ws.flux)
+    if mid:
+        lap = G.divergence(r0, r1, grid.h)
+        diffusion_grad = params.eta * (float(np.square(lap, out=r1).sum()) * h2)
+        one_minus_a = np.subtract(1.0, a, out=ws.velocity.fy)  # theta overwrites it
+        s = np.square(a, out=r1)
+        s *= n
+        s *= one_minus_a
+        reaction_a = params.psi * float(s.sum()) * h2
+        s = np.multiply(n, a, out=r1)
+        s *= one_minus_a
+        s *= lap
+        reaction_grad = params.psi * float(s.sum()) * h2
+    grad_a = float(g._grad_sq_cells(G, r0, r1).sum()) * h2
 
-    lap_a = g.laplacian(A).values
-    diffusion_grad = eta * (float(np.sum(lap_a ** 2)) * area_w)
-    reaction_grad = psi * float(np.sum(n * a * (1.0 - a) * lap_a)) * area_w
-    del lap_a
+    if mid:
+        # theta in the velocity faces, grad N in the flux faces.  numpy
+        # buffers a 2-D strided operand, so every operand is contiguous: the
+        # y faces are worked on flat and copied out to be summed.  Each sum is
+        # over an array of the shape the VectorField terms had, as pairwise
+        # sums group by shape
+        theta = params._face_velocity(A, min_a / 2.0)
+        G = g.gradient(N, ws.flux)
+        # x faces: theta . grad N over all, (m + 1, m); the drift and fisher
+        # terms over the interior ones, from N's face means
+        dot_x = np.multiply(G.fx, theta.fx, out=flat[: (m + 1) * m].reshape(m + 1, m)).sum()
+        mean = np.add(n[1:, :], n[:-1, :], out=flat[m * m : (2 * m - 1) * m].reshape(m - 1, m))
+        mean *= 0.5
+        q = np.multiply(mean, G.fx_in, out=flat[: (m - 1) * m].reshape(m - 1, m))
+        q *= theta.fx_in
+        drift = [q.sum()]
+        np.square(G.fx_in, out=q)
+        q /= mean
+        fisher = [q.sum()]
+        # y faces, flat; the interior ones are summed as (m, m - 1) in
+        # theta's x faces, which are read no more
+        mean, q = r0.reshape(-1)[:-1], r1.reshape(-1)[:-1]
+        interior = theta.fx_in.reshape(m, m - 1)
 
-    id3_rhs = omega * float(np.sum(np.log(n) - n + 1.0)) * area_w
-    # the gradient of N serves ||grad N||_2^2, the fisher term and both
-    # dot products
-    grad_n = g.gradient(N)
-    grad_n_l2sq = float(np.sum(g._grad_sq_cells(grad_n))) * area_w
-    fisher_n = g._fisher(grad_n, n)
-    theta_grad = params.velocity(A, sensitivity_floor(A))
-    theta_dot = _grad_dot(grad_n, theta_grad)
-    drift_n = _weighted_grad_dot(n, grad_n, theta_grad)
-    source_n = omega * g.integral(N)
-    return outer, (reaction_a, source_a, diffusion_grad, reaction_grad, fisher_n,
-                   theta_dot, id3_rhs, grad_n_l2sq, drift_n, source_n)
+        def interior_sum():
+            np.copyto(interior, r1[:, :-1])
+            return interior.sum()
+
+        np.add(*_pairs(n)[2:], out=mean)
+        mean *= 0.5
+        np.multiply(mean, G.fy_in, out=q)
+        q *= theta.fy_in
+        drift.append(interior_sum())
+        np.square(G.fy_in, out=q)
+        q /= mean
+        fisher.append(interior_sum())
+        drift_n = float((drift[0] + drift[1]) * h2)
+        fisher_n = float((fisher[0] + fisher[1]) * h2)
+        # theta . grad N over all y faces, (m, m + 1), the boundary ones 0
+        np.multiply(G.fy_in, theta.fy_in, out=theta.fy_in)
+        dot_y = flat[: m * (m + 1)].reshape(m, m + 1)
+        dot_y[:, ::m] = 0.0
+        np.copyto(dot_y[:, 1:-1], theta.fy[:, :-1])
+        theta_dot = float((dot_x + dot_y.sum()) * h2)
+        grad_n_l2sq = float(g._grad_sq_cells(G, r0, r1).sum()) * h2
+
+    boltzmann = y_entropy = None
+    if main:
+        if min_n < 0:
+            raise HotspotError(f"entropy integrand undefined: density reached {min_n:.3e} < 0")
+        # log N, with log 1 = 0 where N = 0 (an N with zeros takes a temporary)
+        positive = n if min_n > 0 else np.where(n > 0, n, 1.0)
+        log_n = np.log(positive, out=r0)
+        if mid:
+            s = np.subtract(log_n, n, out=r1)
+            s += 1.0
+            id3_rhs = params.omega * float(s.sum()) * h2
+        nlogn = np.multiply(positive, log_n, out=r0)  # N log N extended by 0
+        s = np.subtract(nlogn, n, out=r1)
+        s += 1.0
+        boltzmann = float(s.sum()) * h2
+        if c is not None:
+            if min_a <= 0:
+                raise HotspotError("attractiveness must be positive for the log weight")
+            s = np.multiply(c, n, out=r1)
+            s *= np.log(a, out=ws.flux.fy)
+            y_entropy = float(np.subtract(nlogn, s, out=s).sum()) * h2
+    if not outer:
+        return mass, min_a, max_a, min_n, grad_a, boltzmann, y_entropy, None
+
+    def l2sq(v):
+        return (float(np.square(v, out=r1).sum() * h2) ** 0.5) ** 2
+
+    middle_terms = None
+    if mid:
+        source_a = params.atilde * (float(np.sum(a)) * h2)
+        middle_terms = (reaction_a, source_a, diffusion_grad, reaction_grad, fisher_n,
+                        theta_dot, id3_rhs, grad_n_l2sq, drift_n, params.omega * mass)
+    outer_terms = l2sq(a), grad_a, boltzmann, l2sq(n)
+    return mass, min_a, max_a, min_n, grad_a, boltzmann, y_entropy, (outer_terms, middle_terms)
 
 
 def _energy_balances(times, terms, params: ModelParams) -> EnergyResiduals:
     """The four balances' absolute defects at the middle of three outputs
-    at `times`, from their _output_terms, with the time derivatives by
+    at `times`, from their _output_scalars terms, with the time derivatives by
     central differences."""
     t0, _, t2 = times
     (s0, _), (s1, middle), (s2, _) = terms
@@ -393,13 +461,15 @@ def energy_residuals(window, params: ModelParams) -> EnergyResiduals:
     """Absolute defects of the four energy balances on a uniformly spaced
     window of three consecutive outputs ((t-d, A, N), (t, A, N), (t+d, A, N)),
     with time derivatives by central differences at the middle time; run()
-    takes the same _output_terms of each output and combines them alike."""
-    (t0, _, _), (t1, _, _), (t2, _, _) = window
+    takes the same _output_scalars terms of each output and combines them alike."""
+    (t0, _, _), (t1, A1, _), (t2, _, _) = window
     if not (t1 - t0 > 0 and _uniform_spacing(t0, t1, t2)):
         raise ValueError("window must be uniformly spaced in time")
     if min(np.min(N.values) for _, _, N in window) <= 0:
         raise HotspotError("the entropy balance needs N > 0 on the whole window")
-    terms = [_output_terms(A, N, g.grad_l2sq(A), params, middle=k == 1)
+    if np.min(A1.values) <= 0:
+        raise HotspotError("the energy balances need A > 0 at the window's middle")
+    terms = [_output_scalars(A, N, params, main=True, middle=k == 1)[-1]
              for k, (_, A, N) in enumerate(window)]
     return _energy_balances((t0, t1, t2), terms, params)
 
@@ -491,6 +561,9 @@ class DiagnosticsRecord:
     mass_residual: Optional[float] = None
     bound_flags: Optional[BoundFlags] = None
     residuals: Optional[EnergyResiduals] = None
+    # the output's energy terms, where diagnostics_record took them (see
+    # _output_scalars); run() moves them into its window
+    terms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def csv_row(self) -> str:
         cells = []
@@ -512,25 +585,25 @@ def diagnostics_record(
     bounds: Optional[DerivedBounds] = None,
     n0_mass: Optional[float] = None,
     tol: float = 1e-6,
+    middle: bool = False,
 ) -> DiagnosticsRecord:
     """Fill the per-output-time scalars; the entropy and monitor columns are
-    only available for the main model."""
-    rec = DiagnosticsRecord(
-        t=state.t,
-        mass_N=g.integral(state.N),
-        minA=float(np.min(state.A.values)),
-        maxA=float(np.max(state.A.values)),
-        minN=float(np.min(state.N.values)),
-        grad_A_l2sq=g.grad_l2sq(state.A),
+    only available for the main model, and so are the output's energy
+    `terms`, with its `middle` ones if asked: run() takes each output's
+    record and terms in this one pass."""
+    main = isinstance(params, ModelParams) and bounds is not None
+    sigma = entropy_sigma(params, bounds) if main else None
+    c = choose_c(params.chi, params.eta) if main else None
+    mass, min_a, max_a, min_n, grad_a, entropy, y_entropy, output_terms = _output_scalars(
+        state.A, state.N, params, main, c, middle
     )
-    if isinstance(params, ModelParams) and bounds is not None:
-        sigma = entropy_sigma(params, bounds)
-        rec.phi = sigma * boltzmann_entropy(state.N) + 0.5 * rec.grad_A_l2sq
-        c = choose_c(params.chi, params.eta)
+    rec = DiagnosticsRecord(state.t, mass, min_a, max_a, min_n, grad_a, terms=output_terms)
+    if main:
+        rec.phi = sigma * entropy + 0.5 * grad_a
         if c is not None:
-            rec.c_used = c
-            rec.y_entropy = entropy_Y(state, c)
+            rec.c_used, rec.y_entropy = c, y_entropy
         if n0_mass is not None:
-            rec.bound_flags = verify_apriori(state, bounds, params, n0_mass, tol)
+            rec.bound_flags = _bound_flags(state.t, min_a, max_a, min_n, mass,
+                                           state.A.grid.area, bounds, params, n0_mass, tol)
             rec.mass_residual = rec.bound_flags.mass_residual
     return rec

@@ -268,9 +268,11 @@ def _pairs(v: np.ndarray) -> tuple:
 class _Workspace:
     """Per-grid arrays of the hot path: the cosine eigenvalue sum of the
     Helmholtz symbol and scratch buffers, each reused by the stages of a
-    step in turn.  Each call on the grid overwrites the buffers, so no
-    field handed to a caller may alias one, and two threads must not work
-    on one grid at the same time."""
+    step in turn, and between steps by an output's analysis, which borrows
+    the residual slices and both face buffers (leaving their boundary faces
+    0).  Each call on the grid overwrites the buffers, so no field handed to
+    a caller may alias one, and two threads must not work on one grid at
+    the same time."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n
@@ -354,9 +356,18 @@ def _same_grid(*fields) -> GridSpec:
 # Differential operators
 # ---------------------------------------------------------------------------
 
-def gradient(u: ScalarField) -> VectorField:
-    """Interior face differences of u over h; boundary-normal faces stay 0."""
+def gradient(u: ScalarField, out: _Faces | None = None) -> VectorField | _Faces:
+    """Interior face differences of u over h; boundary-normal faces stay 0.
+    Given `out`, faces of u's grid whose boundary faces are 0, they are
+    written there, one call per family over _pairs, and returned."""
     g, v = u.grid, u.values
+    if out is not None:
+        x_hi, x_lo, y_hi, y_lo = _pairs(v)
+        for hi, lo, f in ((x_hi, x_lo, out.fx_in), (y_hi, y_lo, out.fy_in)):
+            np.subtract(hi, lo, out=f)
+            f /= g.h
+        out.close()
+        return out
     fx = np.zeros((g.n + 1, g.n))
     fy = np.zeros((g.n, g.n + 1))
     np.subtract(v[1:, :], v[:-1, :], out=fx[1:-1, :])
@@ -403,58 +414,52 @@ def osc(u: ScalarField) -> float:
     return float(np.max(u.values) - np.min(u.values))
 
 
-def _face_mean_x(v: np.ndarray) -> np.ndarray:
-    """Arithmetic means of the two cells adjacent to each interior x face."""
-    mean = np.add(v[1:, :], v[:-1, :])
-    mean *= 0.5
-    return mean
-
-
-def _face_mean_y(v: np.ndarray) -> np.ndarray:
-    """Arithmetic means of the two cells adjacent to each interior y face."""
-    mean = np.add(v[:, 1:], v[:, :-1])
-    mean *= 0.5
-    return mean
-
-
 def fisher(u: ScalarField) -> float:
-    """int |grad u|^2 / u with u evaluated at faces by arithmetic mean."""
-    if np.min(u.values) <= 0.0:
+    """int |grad u|^2 / u with u evaluated at faces by arithmetic mean.  The
+    x-face sum is taken, and its temporaries dropped, before the y-face
+    means are built."""
+    v = u.values
+    if np.min(v) <= 0.0:
         raise HotspotError("fisher functional requires u > 0 everywhere")
-    return _fisher(gradient(u), u.values)
-
-
-def _fisher(F: VectorField, v: np.ndarray) -> float:
-    """The fisher functional from the gradient F of u and the values v of
-    u.  The x-face sum is taken, and its temporaries dropped, before the
-    y-face means are built."""
-    h2 = F.grid.h ** 2
+    F = gradient(u)
     x = F.fx[1:-1, :] ** 2
-    x /= _face_mean_x(v)
+    x /= 0.5 * (v[1:, :] + v[:-1, :])
     x = np.sum(x)
     y = F.fy[:, 1:-1] ** 2
-    y /= _face_mean_y(v)
-    return float((x + np.sum(y)) * h2)
+    y /= 0.5 * (v[:, 1:] + v[:, :-1])
+    return float((x + np.sum(y)) * u.grid.h ** 2)
 
 
-def _grad_sq_cells(F: VectorField) -> np.ndarray:
-    """|grad u|^2 at cell centers from the face gradient F of u: average of
-    squared adjacent face gradients."""
-    gx2 = 0.5 * (F.fx[:-1, :] ** 2 + F.fx[1:, :] ** 2)
-    gy2 = 0.5 * (F.fy[:, :-1] ** 2 + F.fy[:, 1:] ** 2)
-    return gx2 + gy2
+def _grad_sq_cells(F: _Faces, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|grad u|^2 at cell centers into the (n, n) `out`, from the faces F of
+    grad u, which it squares in place: per direction, the mean of the
+    squared faces on either side of a cell, the y means built in `scratch`,
+    then the two summed."""
+    np.square(F._all, out=F._all)
+    np.add(F._fx_lo, F._fx_hi, out=out)
+    out *= 0.5
+    np.add(F.fy_prev, F.fy, out=scratch)
+    scratch *= 0.5
+    out += scratch
+    return out
+
+
+def _grad_sq(u: ScalarField) -> np.ndarray:
+    """|grad u|^2 at cell centers, in arrays of its own."""
+    n = u.grid.n
+    return _grad_sq_cells(gradient(u, _Faces(u.grid)), np.empty((n, n)), np.empty((n, n)))
 
 
 def grad_l2sq(u: ScalarField) -> float:
-    return float(np.sum(_grad_sq_cells(gradient(u)))) * u.grid.h ** 2
+    return float(np.sum(_grad_sq(u))) * u.grid.h ** 2
 
 
 def grad_l1(u: ScalarField) -> float:
-    return float(np.sum(np.sqrt(_grad_sq_cells(gradient(u))))) * u.grid.h ** 2
+    return float(np.sum(np.sqrt(_grad_sq(u)))) * u.grid.h ** 2
 
 
 def grad4(u: ScalarField) -> float:
-    return float(np.sum(_grad_sq_cells(gradient(u)) ** 2)) * u.grid.h ** 2
+    return float(np.sum(_grad_sq(u) ** 2)) * u.grid.h ** 2
 
 
 def laplacian_l2sq(u: ScalarField) -> float:

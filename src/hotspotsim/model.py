@@ -19,7 +19,8 @@ from .grid import (
     _pairs,
     _same_grid,
     _workspace,
-    lp_norm,
+    gradient,
+    integral,
 )
 
 
@@ -197,15 +198,8 @@ class GeneralModel(ModelKind):
         return *slots, 1.0, self.omega
 
     def _face_velocity(self, A, a_floor):
-        # generalized sensitivity: the face gradient of h(A) sampled at cells,
-        # by the per-element operations of grid.gradient, so the same bits
-        faces, h = _workspace(A.grid).velocity, A.grid.h
-        x_hi, x_lo, y_hi, y_lo = _pairs(plugin_field(A.grid, "h", self.h, A.values).values)
-        for hi, lo, v in ((x_hi, x_lo, faces.fx_in), (y_hi, y_lo, faces.fy_in)):
-            np.subtract(hi, lo, out=v)
-            v /= h
-        faces.close()
-        return faces
+        # generalized sensitivity: the face gradient of h(A) sampled at cells
+        return gradient(plugin_field(A.grid, "h", self.h, A.values), _workspace(A.grid).velocity)
 
 
 def plugin_field(grid: GridSpec, name: str, fn: Callable, *args) -> ScalarField:
@@ -275,7 +269,7 @@ def derived_bounds(
         raise HotspotError("initial criminal density must be nonnegative")
     a_min = min(1.0, params.atilde, float(np.min(A0.values)))
     a_max = max(1.0, params.atilde, float(np.max(A0.values)))
-    n1_max = max(lp_norm(N0, 1), A0.grid.area)
+    n1_max = max(integral(N0), A0.grid.area)  # ||N0||_1, as N0 >= 0, with no temporary
     return DerivedBounds(a_min, a_max, n1_max)
 
 

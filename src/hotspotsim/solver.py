@@ -289,8 +289,10 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     g = config.grid
     # two state stacks in turn for the whole run: an attempt reads the
     # state's and writes the other, so a rejected attempt leaves the state
-    # as it was
-    first = _Stack.pair(_workspace(g), np.stack([f.values for f in build_initial(config)]))
+    # as it was.  The initial condition's temporaries are gone before the
+    # grid's workspace is built
+    values = np.stack([f.values for f in build_initial(config)])
+    first = _Stack.pair(_workspace(g), values)
     state = SimState(0.0, *first.fields(g, None, None), 0, first)
     params = config.params
     # only the main model has invariant-region bounds; the floor they set,
@@ -305,15 +307,20 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     window = []  # (t, scalars) of the last outputs; see _slide_window
 
     def output() -> None:
-        records.append(analysis.diagnostics_record(state, params, bounds, n0_mass, tol))
+        # the record and, for the main model, the scalars of the output's
+        # energy windows, in one pass; the first and the last output are
+        # no window's middle
+        last = state.t >= config.t_end - _SNAP
+        records.append(analysis.diagnostics_record(
+            state, params, bounds, n0_mass, tol, middle=bool(window) and not last
+        ))
         if keep_snapshots:
             # a copy: the steps go on writing the state's stack
             values = np.stack((state.A.values, state.N.values))
             snapshots.append((state.t, ScalarField._checked(g, values[0], None),
                               ScalarField._checked(g, values[1], None)))
         if bounds is not None:
-            last = state.t >= config.t_end - _SNAP
-            _slide_window(window, state, records, params, last)
+            _slide_window(window, records, params)
 
     # no numpy warning: a value that is not finite is left to the checks
     # that name it (adapt_dt, the explicit stage, the guards, the residual)
@@ -386,23 +393,17 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     )
 
 
-def _slide_window(window, state: SimState, records, params, last: bool) -> None:
-    """Add the output `state`, whose record is the last of `records`, to
-    `window`, the (t, scalars) of the last outputs, with its
-    analysis._output_terms, or None where N > 0 fails.  The middle terms
-    are taken for an output that may be a window's middle: not the first,
-    nor the `last`, nor one of A <= 0, after which the next step's velocity
-    ends the run.  The output completes the three-output window of the
-    output before it, whose energy residuals are filled in where that
-    window is uniformly spaced and N > 0 holds on all three."""
+def _slide_window(window, records, params) -> None:
+    """Move the energy terms of the last of `records` into `window`, the
+    (t, terms) of the last outputs; they are None where N > 0 fails, and
+    have no middle terms for the first output, the last, or one of A <= 0,
+    after which the next step's velocity ends the run.  The output completes
+    the three-output window of the output before it, whose energy residuals
+    are filled in where that window is uniformly spaced and N > 0 holds on
+    all three."""
     rec = records[-1]
-    middle = bool(window) and not last and rec.minA > 0
-    window.append((
-        state.t,
-        analysis._output_terms(state.A, state.N, rec.grad_A_l2sq, params, middle)
-        if rec.minN > 0
-        else None,
-    ))
+    window.append((rec.t, rec.terms))
+    rec.terms = None
     if len(window) == 3:
         (t0, s0), (t1, s1), (t2, s2) = window
         if analysis._uniform_spacing(t0, t1, t2) and None not in (s0, s1, s2):

@@ -347,27 +347,56 @@ class TestEnergyResiduals:
         assert got == _reference_energy_residuals(window, PARAMS)
         assert all(r > 0 for r in got[:4])  # the fields are far from a solution
 
-    def test_window_peak_memory(self):
-        # each face family's means and products are built and dropped in
-        # turn, so a window's middle output allocates about 6 n^2 fields
-        # beyond its inputs; with both families' face means alive together
-        # it took 8.5
-        n = 128
+    @staticmethod
+    def window_fields(n):
         grid = GridSpec(L=1.0, n=n)
         wave, _ = sample_cosine_field(3, 4, 0.05, grid)
         A = ScalarField(grid, 0.8 + 1.1 * wave.values)
         N = ScalarField(grid, 1.0 + 0.9 * wave.values.T.copy())
-        grad = g.grad_l2sq(A)
-        want = analysis._output_terms(A, N, grad, PARAMS, True)  # builds the workspace
+        return A, N
+
+    @staticmethod
+    def traced_peak(call):
+        """call()'s result and the bytes it allocated at its peak."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            got = analysis._output_terms(A, N, grad, PARAMS, True)
+            got = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return got, peak - before
+
+    def test_window_peak_memory(self):
+        # every n^2 intermediate of a window's middle output goes into the
+        # grid's workspace; it took 7 n^2 fields of temporaries before
+        n = 128
+        A, N = self.window_fields(n)
+
+        def middle():
+            return analysis._output_scalars(A, N, PARAMS, main=True, middle=True)
+
+        want = middle()  # builds the workspace
+        got, peak = self.traced_peak(middle)
         assert got == want
-        assert peak - before < 7 * n * n * 8
+        assert got[-1][1] is not None
+        assert peak < 0.5 * n * n * 8
+
+    def test_record_peak_memory(self):
+        n = 128
+        A, N = self.window_fields(n)
+        params = ModelParams(eta=0.1, psi=PSI, omega=84.0, atilde=0.7, chi=0.8)  # Y too
+        bounds = DerivedBounds(a_min=0.5, a_max=2.0, n1_max=1.0)
+        state = SimState(0.3, A, N)
+
+        def record():
+            return diagnostics_record(state, params, bounds, 1.0, middle=True)
+
+        want = record()  # builds the workspace
+        got, peak = self.traced_peak(record)
+        assert got.csv_row() == want.csv_row()
+        assert got.y_entropy is not None and got.terms[1] is not None
+        assert peak < 0.5 * n * n * 8
 
     def steady_window(self, grid, dt=0.01):
         a_star, n_star = steady_state(PARAMS)
@@ -405,6 +434,18 @@ class TestEnergyResiduals:
         bad = [s[0], (s[1][0], s[1][1], zero_n), s[2]]
         with pytest.raises(HotspotError,
                            match="^the entropy balance needs N > 0 on the whole window$"):
+            energy_residuals(bad, PARAMS)
+
+    def test_rejects_nonpositive_attractiveness_at_the_middle(self):
+        # the middle's theta needs A > 0; this was a bare ValueError from
+        # the velocity's floor
+        grid = GridSpec(L=1.0, n=16)
+        s = self.steady_window(grid)
+        values = s[1][1].values.copy()
+        values[3, 5] = -0.1
+        bad = [s[0], (s[1][0], ScalarField(grid, values), s[1][2]), s[2]]
+        with pytest.raises(HotspotError,
+                           match="^the energy balances need A > 0 at the window's middle$"):
             energy_residuals(bad, PARAMS)
 
 

@@ -429,6 +429,31 @@ class TestOutputWindow:
         assert sum(rec.residuals is not None for rec in r_many.records) == 19
         assert abs(many - few) < n * n * 8
 
+    def test_run_allocates_little_beyond_its_workspace_and_stacks(self):
+        # the outputs are analysed in the workspace, and the initial
+        # condition's temporaries are gone before the workspace is built;
+        # each output's analysis took about 6 n^2 fields of temporaries before
+        n = 128
+        cfg = small_config(grid=GridSpec(L=1.0, n=n), t_end=0.005, output_every=0.001,
+                           dt_max=2.5e-4, ic=InitialCondition("perturbed_steady",
+                                                              amplitude=0.01, mode_j=2))
+        grid_module._workspace.cache_clear()  # so that the run builds it
+        tracemalloc.start()
+        try:
+            result = run(cfg, keep_snapshots=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.outcome.kind == "completed"
+        assert len(result.records) == 6
+        assert sum(rec.residuals is not None for rec in result.records) == 4
+        ws = grid_module._workspace(cfg.grid)
+        arrays = [ws.eig_sum, ws.rhs, ws.denom, ws.residual, ws.velocity._all, ws.flux._all]
+        workspace = sum(a.nbytes for a in arrays)
+        field = n * n * 8
+        assert workspace == 11 * field + 2 * (n + 1) * 8  # two face buffers of 2 n^2 + n + 1
+        assert peak - (workspace + 2 * 2 * field) < 0.5 * field
+
     @pytest.mark.parametrize("keep_snapshots", [True, False])
     def test_one_stack_pair_per_run(self, monkeypatch, keep_snapshots):
         # a kept snapshot is a copy, so no output takes a stack from the steps
@@ -450,14 +475,15 @@ class TestOutputWindow:
         # neither the first output nor the one at t_end is a window's middle;
         # at t_end 0.045 the window of t = 0.04 is skipped all the same
         middles = []
-        real = analysis._output_terms
+        real = analysis._output_scalars
 
-        def counted(A, N, grad_A_l2sq, params, middle):
-            if middle:
+        def counted(A, *args):
+            scalars = real(A, *args)
+            if scalars[-1] is not None and scalars[-1][1] is not None:
                 middles.append(A)
-            return real(A, N, grad_A_l2sq, params, middle)
+            return scalars
 
-        monkeypatch.setattr(analysis, "_output_terms", counted)
+        monkeypatch.setattr(analysis, "_output_scalars", counted)
         result = run(small_config(t_end=t_end))
         assert result.outcome.kind == "completed"
         assert len(middles) == len(result.records) - 2
@@ -1162,8 +1188,8 @@ class TestStatesOwnTheirArrays:
         # the step works on arrays, and the residual check is its results'
         # one validation: a passing check shows them finite, so the two
         # result fields are built without a ScalarField validation.  An
-        # output validates one field per energy window (the Laplacian of
-        # A); any validation inside the step would raise the count
+        # output builds no field either (its analysis works in the grid's
+        # workspace); any validation inside the step would raise the count
         calls = []
         real = ScalarField.__post_init__
 
@@ -1185,11 +1211,11 @@ class TestStatesOwnTheirArrays:
         assert len(result.records) == 5
         windows = sum(rec.residuals is not None for rec in result.records)
         assert windows == 3
-        assert len(calls) == initial + windows
+        assert len(calls) == initial
 
     def test_one_velocity_per_accepted_state(self, monkeypatch):
-        # the solver's calls only: an output's energy terms take their
-        # theta through ModelKind.velocity, which fills the same faces
+        # the solver's calls only: an output's analysis builds its theta
+        # with the same call, from analysis
         calls = []
         real = ModelParams._face_velocity
 
@@ -1278,7 +1304,8 @@ class TestRunStacks:
     @pytest.mark.parametrize("model, scheme", [
         (model, scheme) for model in ("main", "short", "general")
         for scheme in ("centered", "upwind")
-    ] + [("short-halving", "centered")])
+    ] + [("short-halving", "centered")] + [("main-fixed-dt", scheme) for scheme in (
+        "centered", "upwind")])
     def test_run_equals_a_chain_of_public_steps(self, monkeypatch, tmp_path, model, scheme):
         if model == "short-halving":
             cfg = self.config(
@@ -1286,6 +1313,9 @@ class TestRunStacks:
                 params=ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=4.0),
                 ic=InitialCondition("perturbed_steady", amplitude=0.5, mode_j=2, mode_k=1),
             )
+        elif model == "main-fixed-dt":
+            # steps of one dt reuse the cached denominators of the solves
+            cfg = self.config("main", scheme, tmp_path, dt_max=1e-3)
         else:
             cfg = self.config(model, scheme, tmp_path)
         result, attempts = self.recorded_run(monkeypatch, cfg)
@@ -1296,13 +1326,19 @@ class TestRunStacks:
         else:
             assert result.outcome.kind == "completed"
 
-        # the same dt sequence through the public step, from the initial state
+        # the same dt sequence through the public step, from the initial
+        # state, with an output analysed after every step: the analysis
+        # borrows workspace buffers, and no later step may see it.  The chain
+        # starts on a new workspace, so that what the run's analyses left in
+        # the old one shows
         monkeypatch.undo()
+        grid_module._workspace.cache_clear()
         A, N = build_initial(cfg)
         state = SimState(0.0, A, N)
         bounds = cfg.params.bounds(A, N)
         a_floor = sensitivity_floor(A, bounds)
-        stacks = set()
+        n0_mass = integral(N)
+        stacks, rows = set(), {}
         for dt, got in attempts:
             velocity = cfg.params._face_velocity(state.A, a_floor)
             if isinstance(got, type):
@@ -1313,8 +1349,14 @@ class TestRunStacks:
             assert state.A.values.tobytes() == got[0].tobytes()
             assert state.N.values.tobytes() == got[1].tobytes()
             stacks.add(id(got[2].A.values.base))
+            rec = analysis.diagnostics_record(state, cfg.params, bounds, n0_mass, middle=True)
+            assert (rec.terms is not None) == (bounds is not None)
+            rows[rec.t] = rec.csv_row().split(",")[:9]  # the columns before r1
         # two stacks in turn for the whole run
         assert len(stacks) <= 2
+        # the run's records where an output fell
+        for rec in result.records[1:]:
+            assert rows[rec.t] == rec.csv_row().split(",")[:9]
 
     @pytest.mark.parametrize("model", ["main", "short"])
     def test_no_field_handed_out_shares_memory(self, monkeypatch, tmp_path, model):
