@@ -156,8 +156,6 @@ class GridSpec:
 class ScalarField:
     grid: GridSpec
     values: np.ndarray
-    _min = None  # min(values), where the solver step that built it took it
-    _views = None  # (workspace, _pairs(values)) of a field a step built
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -172,15 +170,11 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
     @classmethod
-    def _checked(cls, grid: GridSpec, values: np.ndarray, vmin, views=None) -> "ScalarField":
-        """A field of finite (n, n) `values` of minimum `vmin` (or None), unvalidated."""
+    def _checked(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
+        """A field of finite (n, n) `values`, unvalidated."""
         field = object.__new__(cls)
-        field.grid, field.values, field._min, field._views = grid, values, vmin, views
+        field.grid, field.values = grid, values
         return field
-
-    def _minimum(self):
-        """min(values), taken once for a field a solver step built."""
-        return self.values.min() if self._min is None else self._min
 
 
 @dataclass
@@ -313,7 +307,6 @@ class _Stack:
         k, n = len(values), values.shape[-1]
         self.ws, self.values, self.slices, self.other = ws, values, tuple(values), None
         self.pairs = tuple(map(_pairs, values))
-        self.views = (ws, self.pairs[0])  # of the first slice, A in a step
         self.denom, self.nb, self.applied = ws.denom[:k], ws.neighbours[:k], ws.residual[:k]
         self.nb_slices, self.applied_slices = tuple(self.nb), tuple(self.applied)
         nb, scratch = self.nb, self.applied
@@ -338,10 +331,10 @@ class _Stack:
         first.other, second.other = second, first
         return first
 
-    def fields(self, grid: GridSpec, a_min, n_min) -> tuple[ScalarField, ScalarField]:
-        """A and N, viewing the two slices, of minima a_min and n_min."""
-        return (ScalarField._checked(grid, self.slices[0], a_min, self.views),
-                ScalarField._checked(grid, self.slices[1], n_min))
+    def fields(self, grid: GridSpec) -> tuple[ScalarField, ScalarField]:
+        """A and N, viewing the two slices."""
+        a, n = self.slices
+        return ScalarField._checked(grid, a), ScalarField._checked(grid, n)
 
 
 def _same_grid(*fields) -> GridSpec:
@@ -358,23 +351,17 @@ def _same_grid(*fields) -> GridSpec:
 
 def gradient(u: ScalarField, out: _Faces | None = None) -> VectorField | _Faces:
     """Interior face differences of u over h; boundary-normal faces stay 0.
-    Given `out`, faces of u's grid whose boundary faces are 0, they are
-    written there, one call per family over _pairs, and returned."""
-    g, v = u.grid, u.values
-    if out is not None:
-        x_hi, x_lo, y_hi, y_lo = _pairs(v)
-        for hi, lo, f in ((x_hi, x_lo, out.fx_in), (y_hi, y_lo, out.fy_in)):
-            np.subtract(hi, lo, out=f)
-            f /= g.h
-        out.close()
-        return out
-    fx = np.zeros((g.n + 1, g.n))
-    fy = np.zeros((g.n, g.n + 1))
-    np.subtract(v[1:, :], v[:-1, :], out=fx[1:-1, :])
-    fx[1:-1, :] /= g.h
-    np.subtract(v[:, 1:], v[:, :-1], out=fy[:, 1:-1])
-    fy[:, 1:-1] /= g.h
-    return VectorField(g, fx, fy)
+    They are written, one call per family over _pairs, into `out`, faces of
+    u's grid whose boundary faces are 0, and returned; without `out`, into
+    new faces, returned as a VectorField."""
+    if out is None:
+        return gradient(u, _Faces(u.grid)).vector_field()
+    x_hi, x_lo, y_hi, y_lo = _pairs(u.values)
+    for hi, lo, f in ((x_hi, x_lo, out.fx_in), (y_hi, y_lo, out.fy_in)):
+        np.subtract(hi, lo, out=f)
+        f /= u.grid.h
+    out.close()
+    return out
 
 
 def divergence(F: VectorField) -> ScalarField:

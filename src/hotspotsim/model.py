@@ -58,13 +58,13 @@ class ModelKind:
         / face sum, the same bits (2 chi would overflow for chi > 9e307).
         The y faces take one contiguous call per operation over the
         flattened cells (see _Faces), with the face sums in the workspace's
-        scratch; a field a step built brings the workspace and its pairs
-        (_views)."""
+        scratch."""
         if a_floor <= 0:
             raise ValueError("a_floor must be positive")
-        if A._minimum() < a_floor:
-            raise HotspotError(f"A dropped to {A._minimum():.6g}, below floor {a_floor:.6g}")
-        ws, (x_hi, x_lo, y_hi, y_lo) = A._views or (_workspace(A.grid), _pairs(A.values))
+        a_min = A.values.min()
+        if a_min < a_floor:
+            raise HotspotError(f"A dropped to {a_min:.6g}, below floor {a_floor:.6g}")
+        ws, (x_hi, x_lo, y_hi, y_lo) = _workspace(A.grid), _pairs(A.values)
         faces, half_h = ws.velocity, ws.half_h
         for hi, lo, v, total in ((x_hi, x_lo, faces.fx_in, ws.sums[0]),
                                  (y_hi, y_lo, faces.fy_in, ws.sums[1])):

@@ -189,24 +189,25 @@ def step(
 ) -> SimState:
     """One IMEX update: explicit chemotactic transport and nonlinear
     reaction, then implicit Helmholtz solves for diffusion and linear decay,
-    on the grid's workspace buffers.  The result's fields keep the minima
-    the guards took (so they must not be changed in place) and are the
-    slices of one new array, or in run() of its other state stack.
-    `velocity` is the chemotactic face velocity of state.A, in the
-    workspace faces that ModelKind._face_velocity fills; when None, the
-    step computes it with `sensitivity_floor(A, bounds)`."""
+    on the grid's workspace buffers.  A state of run(), which carries its
+    _stack, has passed the guards; any other state, a public step's result
+    included, is checked at entry and copied into a new stack.  The
+    result's fields are the slices of one new array, or in run() of its
+    other state stack.  `velocity` is the chemotactic face velocity of
+    state.A, in the workspace faces that ModelKind._face_velocity fills;
+    when None, the step computes it with `sensitivity_floor(A, bounds)`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = config.params
     A, N = state.A, state.N
     g = _same_grid(A, N)
-    # the reaction's preconditions; N may undershoot 0 by guard_tol
-    if A._minimum() <= 0:
-        raise HotspotError("attractiveness must be positive everywhere")
-    if N._minimum() < -config.guard_tol:
-        raise HotspotError(f"criminal density fell below -{config.guard_tol}")
     src = state._stack
     if src is None:
+        # the reaction's preconditions; N may undershoot 0 by guard_tol
+        if A.values.min() <= 0:
+            raise HotspotError("attractiveness must be positive everywhere")
+        if N.values.min() < -config.guard_tol:
+            raise HotspotError(f"criminal density fell below -{config.guard_tol}")
         # the new stack holds the state until the solve overwrites it
         src = _Stack(_workspace(g), np.stack((A.values, N.values)))
     dst, ws = src.other or src, src.ws  # a run's other stack, or the new one
@@ -231,15 +232,13 @@ def step(
 
     # a solve that passes its residual check has a finite solution
     _helmholtz(dst, rhs, (params.eta, 1.0), (lam_A, lam_N), dt, rhs_sq)
-    a_min, n_min = _guard(dst.values, config, bounds)
+    _guard(dst.values, config, bounds)
     owned = dst if dst is not src else None
-    return SimState(state.t + dt, *dst.fields(g, a_min, n_min), state.step_count + 1, owned)
+    return SimState(state.t + dt, *dst.fields(g), state.step_count + 1, owned)
 
 
-def _guard(
-    u: np.ndarray, config: SimConfig, bounds: Optional[DerivedBounds]
-) -> tuple[float, float]:
-    """The positivity guards on the finite (2, n, n) stack u of A, N; returns their minima."""
+def _guard(u: np.ndarray, config: SimConfig, bounds: Optional[DerivedBounds]) -> None:
+    """The positivity guards on the finite (2, n, n) stack u of A, N."""
     tol = config.guard_tol
     a_min, n_min = np.minimum.reduce(u, axis=(1, 2)).tolist()
     if bounds is not None:
@@ -251,7 +250,6 @@ def _guard(
         raise StepRejected("A lost positivity")
     if n_min < -tol:
         raise StepRejected(f"N reached {n_min:.6g}, below -guard_tol = {-tol:.6g}")
-    return a_min, n_min
 
 
 def adapt_dt(velocity: _Faces, config: SimConfig, dt_prev: float) -> float:
@@ -293,7 +291,7 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     # grid's workspace is built
     values = np.stack([f.values for f in build_initial(config)])
     first = _Stack.pair(_workspace(g), values)
-    state = SimState(0.0, *first.fields(g, None, None), 0, first)
+    state = SimState(0.0, *first.fields(g), 0, first)
     params = config.params
     # only the main model has invariant-region bounds; the floor they set,
     # the exact mass law and the energy balances hold for that model alone
@@ -317,8 +315,8 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
         if keep_snapshots:
             # a copy: the steps go on writing the state's stack
             values = np.stack((state.A.values, state.N.values))
-            snapshots.append((state.t, ScalarField._checked(g, values[0], None),
-                              ScalarField._checked(g, values[1], None)))
+            snapshots.append((state.t, ScalarField._checked(g, values[0]),
+                              ScalarField._checked(g, values[1])))
         if bounds is not None:
             _slide_window(window, records, params)
 

@@ -1134,6 +1134,35 @@ def test_simulate_calls_each_phase_once_through_its_module(
     assert calls == ["load_config", "run", "build_initial", "_emit_outputs"]
 
 
+def test_simulate_calls_adapt_dt_and_the_guard_through_the_module(
+    tmp_path, capsys, monkeypatch
+):
+    """The benchmark's traced mode times the step size choice and the
+    guards by wrapping solver.adapt_dt and solver._guard (perfbench/child.py),
+    so on a run without halving each must be called through the module once
+    per accepted step: a change that bypasses one fails here."""
+    calls = {"adapt_dt": 0, "_guard": 0}
+
+    def counted(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    cfg = tmp_path / "run.json"
+    write_config(cfg, **{"grid.n": 16, "outputs.snapshots": False})
+    assert cli.main(["simulate", str(cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "outcome.json").read_text())
+    assert doc["steps_rejected"] == 0
+    assert doc["steps_accepted"] > 0
+    assert calls == {"adapt_dt": doc["steps_accepted"], "_guard": doc["steps_accepted"]}
+
+
 def _short_compliant_run() -> dict:
     """configs/compliant.json cut to a run of about 7 ms: n=16, two outputs
     and no snapshots."""

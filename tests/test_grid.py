@@ -121,6 +121,20 @@ class TestOperators:
         F = gradient(ScalarField(grid, np.full((16, 16), 3.7)))
         assert not F.fx.any() and not F.fy.any()
 
+    def test_gradient_bits_do_not_depend_on_memory_order(self):
+        # _pairs flattens a copy of a field that is not C-contiguous; either
+        # way each interior face is the difference of its cells over h
+        grid = GridSpec(L=1.3, n=17)
+        v = rand_field(grid, seed=3).values.T
+        strided = ScalarField(grid, v)
+        assert not strided.values.flags.c_contiguous
+        got, want = gradient(strided), gradient(ScalarField(grid, v.copy()))
+        assert got.fx.tobytes() == want.fx.tobytes()
+        assert got.fy.tobytes() == want.fy.tobytes()
+        assert got.fx[1:-1, :].tobytes() == (np.diff(v, axis=0) / grid.h).tobytes()
+        assert got.fy[:, 1:-1].tobytes() == (np.diff(v, axis=1) / grid.h).tobytes()
+        assert not got.fx[[0, -1]].any() and not got.fy[:, [0, -1]].any()
+
     def test_laplacian_is_div_grad(self):
         u = rand_field(GridSpec(L=1.3, n=24), seed=5)
         lap = laplacian(u)

@@ -220,16 +220,21 @@ class TestStep:
         assert got.A.values.tobytes() == want.A.values.tobytes()
         assert got.N.values.tobytes() == want.N.values.tobytes()
 
-    def test_results_keep_their_minima_and_other_states_are_checked(self):
+    def test_results_and_other_states_are_checked_at_entry(self):
         cfg = small_config()
         A, N = build_initial(cfg)
         new = step(SimState(0.0, A, N), 1e-3, cfg)
-        assert new.A._min == new.A.values.min()
-        assert new.N._min == new.N.values.min()
         # a state that no step built has its minima taken
         sunk = SimState(new.t, ScalarField(new.A.grid, new.A.values - 10.0), new.N)
         with pytest.raises(HotspotError, match="^attractiveness must be positive everywhere$"):
             step(sunk, 1e-3, cfg)
+        # a public step's result changed in place is a caller's state too
+        for name, message in (("A", "^attractiveness must be positive everywhere$"),
+                              ("N", r"^criminal density fell below -1e-06$")):
+            new = step(SimState(0.0, A, N), 1e-3, cfg)
+            getattr(new, name).values[3, 5] = -1.0
+            with pytest.raises(HotspotError, match=message):
+                step(new, 1e-3, cfg)
 
     def test_rejects_velocity_on_another_grid(self):
         cfg = small_config()
