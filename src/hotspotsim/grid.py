@@ -29,6 +29,7 @@ class HotspotError(Exception):
 
 HELMHOLTZ_TOL = 1e-10
 _TINY = np.finfo(float).tiny  # the residual check's floor under ||rhs||
+_PAD = 8  # floats, one 64-byte cache line, added to each row of the transforms
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +265,29 @@ class _Workspace:
     Helmholtz symbol and scratch buffers, each reused by the stages of a
     step in turn, and between steps by an output's analysis, which borrows
     the residual slices and both face buffers (leaving their boundary faces
-    0).  Each call on the grid overwrites the buffers, so no field handed to
-    a caller may alias one, and two threads must not work on one grid at
-    the same time."""
+    0).  The solves transform in rows padded by _PAD floats, so that no
+    column's stride is a multiple of 4 KiB; the symbol and denominators
+    share that layout, 0 and c = 1 + dt*lam in the pads.  Each call on the
+    grid overwrites the buffers, so no field handed to a caller may alias
+    one, and two threads must not work on one grid at the same time."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n
         s = (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
-        self.eig_sum = s[:, None] + s[None, :]
+        self.eig_sum = np.zeros((n, n + _PAD))
+        np.add(s[:, None], s[None, :], out=self.eig_sum[:, :n])
         # the chemotactic velocity and the advective flux; only interior
         # faces are ever left nonzero (no-flux)
         self.velocity, self.flux = _Faces(grid), _Faces(grid)
         # the built-in models' reaction rates, then the step's (A, N) rhs
         self.rhs = np.empty((2, n, n))
         # the solves' denominators, kept while a slice's key is unchanged
-        self.denom, self.denom_keys = np.empty((2, n, n)), [None, None]
+        self.denom, self.denom_keys = np.empty((2, n, n + _PAD)), [None, None]
+        # the solves' spectra, zeroed so that no pad is a signalling NaN; its
+        # first 2 n^2 floats, dead from a solve's copy-in to its copy-out, are
         # y-direction scratch, then the residuals of the last solves
-        self.residual = np.empty((2, n, n))
+        self.transform = np.zeros((2, n, n + _PAD))
+        self.residual = self.transform.reshape(-1)[: 2 * n * n].reshape(2, n, n)
         # the residuals' neighbour sums, in the flux faces, dead once a step
         # has taken their divergence; _helmholtz zeroes flux._edge after use
         self.neighbours = self.flux._all[n + 1 :].reshape(2, n, n)
@@ -301,13 +308,15 @@ class _Stack:
     """A C-contiguous (k, n, n) stack of cell values, k <= 2, and the views
     a step or a solve into it takes of it and of the grid's workspace `ws`,
     built once: its slices, their _pairs, its neighbour sums' operands and
-    the workspace's k slices.  A run's next step writes into `other`."""
+    the workspace's k slices, the transforms' (k, n, n) `spectral` in
+    their padded rows.  A run's next step writes into `other`."""
 
     def __init__(self, ws: _Workspace, values: np.ndarray):
         k, n = len(values), values.shape[-1]
         self.ws, self.values, self.slices, self.other = ws, values, tuple(values), None
         self.pairs = tuple(map(_pairs, values))
         self.denom, self.nb, self.applied = ws.denom[:k], ws.neighbours[:k], ws.residual[:k]
+        self.transform, self.spectral = ws.transform[:k], ws.transform[:k, :, :n]
         self.nb_slices, self.applied_slices = tuple(self.nb), tuple(self.applied)
         nb, scratch = self.nb, self.applied
         # the x sums and, in the scratch, the y sums each take one call over
@@ -462,8 +471,8 @@ def helmholtz_solve(rhs: ScalarField, d: float, lam: float, dt: float) -> Scalar
     """Solve (1 + dt*lam) u - dt*d*Lap_h u = rhs under discrete Neumann
     conditions by cosine-basis diagonalization; checked to 1e-10 relative
     residual.  The returned field owns its values."""
-    if d < 0 or lam < 0 or dt <= 0:
-        raise ValueError("need d >= 0, lam >= 0, dt > 0")
+    if not (0 <= d < math.inf and 0 <= lam < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"need d >= 0, lam >= 0, dt > 0, all finite; got {d}, {lam}, {dt}")
     g = rhs.grid
     u = _Stack(_workspace(g), np.empty((1, g.n, g.n)))
     _helmholtz(u, rhs.values[None], (d,), (lam,), dt)
@@ -485,13 +494,16 @@ def _helmholtz(out: _Stack, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -
             np.multiply(ws.eig_sum, key[0], out=denom)
             denom += key[1]
             ws.denom_keys[s] = key
-    np.copyto(out.values, rhs)
-    # pocketfft transforms in place; the scipy.fft fallback may not
-    u = _fft.dctn(out.values, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
-    u /= out.denom
-    u = _fft.idctn(u, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
-    if u is not out.values:
-        np.copyto(out.values, u)
+    # pocketfft transforms in place; the scipy.fft fallback may not.  The
+    # division is one flat pass over the padded rows, a pad divided by c
+    spectral = out.spectral
+    np.copyto(spectral, rhs)
+    u = _fft.dctn(spectral, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
+    if u is not spectral:
+        np.copyto(spectral, u)
+    out.transform /= out.denom
+    u = _fft.idctn(spectral, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
+    np.copyto(out.values, u)
 
     # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs, as one
     # five-point stencil: (c + 4k) u - k (sum of the four neighbours) - rhs

@@ -196,8 +196,8 @@ def step(
     other state stack.  `velocity` is the chemotactic face velocity of
     state.A, in the workspace faces that ModelKind._face_velocity fills;
     when None, the step computes it with `sensitivity_floor(A, bounds)`."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got dt={dt}")
     params = config.params
     A, N = state.A, state.N
     g = _same_grid(A, N)

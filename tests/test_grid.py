@@ -305,6 +305,39 @@ class TestHelmholtz:
         with pytest.raises(ValueError):
             helmholtz_solve(rhs, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("d, lam, dt", [
+        (math.inf, 1.0, 0.1), (1.0, math.inf, 0.1), (1.0, 1.0, math.inf),
+        (math.nan, 1.0, 0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
+    ])
+    def test_non_finite_arguments(self, d, lam, dt):
+        # an inf was a numpy RuntimeWarning, a NaN a residual of nan
+        rhs = rand_field(GridSpec(L=1.0, n=16))
+        with pytest.raises(ValueError, match=r"^need d >= 0, lam >= 0, dt > 0"):
+            helmholtz_solve(rhs, d, lam, dt)
+
+    @pytest.mark.parametrize("n", [8, 33, 64, 256, 512])
+    @pytest.mark.parametrize("d, lam, dt", [(0.1, 1.0, 1e-3), (1.0, 84.0, 2e-4)])
+    def test_padded_rows_give_the_contiguous_bits(self, n, d, lam, dt):
+        # the solves transform in rows padded by _PAD floats, and their
+        # denominators divide the pads too: one solve and a two-slice solve
+        # give the bits of scipy.fft's solve on contiguous arrays
+        grid = GridSpec(L=1.0, n=n)
+        rhs = np.random.default_rng(n).uniform(0.5, 2.0, (2, n, n))
+        ds, lams = (d, 0.3 * d), (lam, 2.0 * lam)
+        s = (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+        want = []
+        for r, d_s, lam_s in zip(rhs, ds, lams):
+            denom = (s[:, None] + s[None, :]) * (dt * d_s)
+            denom += 1.0 + dt * lam_s
+            coeffs = scipy_fft.dctn(r, type=2, norm="ortho")
+            coeffs /= denom
+            want.append(scipy_fft.idctn(coeffs, type=2, norm="ortho"))
+        one = helmholtz_solve(ScalarField(grid, rhs[0]), d, lam, dt)
+        assert one.values.tobytes() == want[0].tobytes()
+        two = grid_module._Stack(_workspace(grid), np.empty((2, n, n)))
+        grid_module._helmholtz(two, rhs, ds, lams, dt)
+        assert two.values.tobytes() == np.stack(want).tobytes()
+
 
 class TestCosineSampling:
     def test_deterministic(self):

@@ -207,6 +207,15 @@ class TestStep:
         with pytest.raises(ValueError):
             step(SimState(0.0, A, N), 0.0, cfg)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        # a NaN or inf dt was a StepRejected from the explicit stage, which
+        # tells the caller that a smaller step may cure it
+        cfg = small_config()
+        A, N = build_initial(cfg)
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            step(SimState(0.0, A, N), dt, cfg)
+
     def test_step_sees_A_changed_after_adapt_dt(self):
         # a velocity kept on the state would go stale here: min(A), and
         # with it the sensitivity floor, stays the same
@@ -453,10 +462,13 @@ class TestOutputWindow:
         assert len(result.records) == 6
         assert sum(rec.residuals is not None for rec in result.records) == 4
         ws = grid_module._workspace(cfg.grid)
-        arrays = [ws.eig_sum, ws.rhs, ws.denom, ws.residual, ws.velocity._all, ws.flux._all]
+        # the residual slices are the first 2 n^2 floats of the transforms
+        arrays = [ws.eig_sum, ws.rhs, ws.denom, ws.transform, ws.velocity._all, ws.flux._all]
         workspace = sum(a.nbytes for a in arrays)
         field = n * n * 8
-        assert workspace == 11 * field + 2 * (n + 1) * 8  # two face buffers of 2 n^2 + n + 1
+        # two face buffers of 2 n^2 + n + 1; five padded rows of n + _PAD
+        pads = 5 * n * grid_module._PAD * 8
+        assert workspace == 11 * field + 2 * (n + 1) * 8 + pads
         assert peak - (workspace + 2 * 2 * field) < 0.5 * field
 
     @pytest.mark.parametrize("keep_snapshots", [True, False])
@@ -963,6 +975,26 @@ def _wavy_state(grid):
     A = ScalarField(grid, 0.8 + wave.values)
     N = ScalarField(grid, 1.0 + 2.0 * wave.values.T)
     return SimState(0.0, A, N)
+
+
+class TestScipyFallback:
+    def test_a_run_on_scipy_fft_equals_the_pocketfft_run(self, monkeypatch):
+        # scipy.fft transforms the solves' padded rows in place but returns
+        # a new array object, which the solve copies back before dividing
+        n = 8
+        spectral = np.zeros((2, n, n + grid_module._PAD))[:, :, :n]
+        u = scipy_fft.dctn(spectral, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
+        assert u is not spectral
+        want = run(small_config())
+        monkeypatch.setattr(grid_module, "_fft", scipy_fft)
+        got = run(small_config())
+        assert got.outcome.kind == want.outcome.kind == "completed"
+        assert repr(got) == repr(want)  # records and counts; repr round-trips floats
+        assert len(got.snapshots) == len(want.snapshots) == 6
+        for (t, A, N), (t_want, A_want, N_want) in zip(got.snapshots, want.snapshots):
+            assert t == t_want
+            assert A.values.tobytes() == A_want.values.tobytes()
+            assert N.values.tobytes() == N_want.values.tobytes()
 
 
 class TestStepMatchesReference:
