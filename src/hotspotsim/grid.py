@@ -159,6 +159,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):  # the float cast would drop the imaginary part
+            raise ValueError(f"field values must be real, got {np.asarray(self.values).dtype}")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n, self.grid.n):
             raise ValueError(
@@ -544,10 +546,10 @@ def _helmholtz(out: _Stack, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -
 # ---------------------------------------------------------------------------
 
 def cosine_mode(grid: GridSpec, j: int, k: int, amplitude: float = 1.0) -> ScalarField:
-    """amplitude * cos(j pi x / L) cos(k pi y / L) sampled at cell centers."""
-    x, y = grid.cell_coords()
-    vals = amplitude * np.cos(j * np.pi * x / grid.L) * np.cos(k * np.pi * y / grid.L)
-    return ScalarField(grid, vals)
+    """amplitude * cos(j pi x / L) cos(k pi y / L) at cell centers, an outer product."""
+    c = (np.arange(grid.n) + 0.5) * grid.h
+    cx = amplitude * np.cos(j * np.pi * c / grid.L)
+    return ScalarField(grid, np.multiply.outer(cx, np.cos(k * np.pi * c / grid.L)))
 
 
 def sample_cosine_field(

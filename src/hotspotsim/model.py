@@ -203,11 +203,15 @@ class GeneralModel(ModelKind):
 
 
 def plugin_field(grid: GridSpec, name: str, fn: Callable, *args) -> ScalarField:
-    """Call the plugin callable `name` and validate what it returned, where
-    it enters.  Any Exception of either ends as a HotspotError naming the
+    """Call the plugin callable `name` on read-only views of `args` and
+    validate what it returned, where it enters.  Any Exception of either,
+    a write into an input included, ends as a HotspotError naming the
     callable, so a run ends failed; a KeyboardInterrupt passes through."""
+    views = [np.asarray(x).view() for x in args]
+    for view in views:
+        view.flags.writeable = False
     try:
-        values = fn(*args)
+        values = fn(*views)
     except Exception as exc:
         raise HotspotError(f"GeneralModel.{name} raised {exc!r}") from exc
     try:

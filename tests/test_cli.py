@@ -528,10 +528,10 @@ class TestGridSize:
     def test_grid_too_large_to_allocate_exits_1(self, tmp_path, capsys, monkeypatch):
         # stands in for numpy's allocation failure at a huge n, without
         # attempting one
-        def no_memory(grid):
+        def no_memory(grid, j, k, amplitude):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-        monkeypatch.setattr(GridSpec, "cell_coords", no_memory)
+        monkeypatch.setattr(solver, "cosine_mode", no_memory)
         cfg = tmp_path / "run.json"
         write_config(cfg, **{"grid.n": 16})
         assert cli.main(["simulate", str(cfg)]) == 1

@@ -98,6 +98,18 @@ class TestFields:
         with pytest.raises(ValueError):
             ScalarField(grid, vals)
 
+    @pytest.mark.parametrize("vals", [
+        np.full((8, 8), 1.0 + 1e-3j),
+        np.ones((8, 8), dtype=np.complex64),  # a zero imaginary part too
+        [[1.0 + 0j] * 8] * 8,
+    ], ids=["complex128", "complex64", "list"])
+    def test_scalar_rejects_complex_values(self, vals):
+        # before the float cast, which would drop the imaginary part with a
+        # ComplexWarning
+        grid = GridSpec(L=1.0, n=8)
+        with pytest.raises(ValueError, match="^field values must be real, got complex"):
+            ScalarField(grid, vals)
+
     def test_vector_requires_zero_normal_flux(self):
         grid = GridSpec(L=1.0, n=8)
         fx = np.zeros((9, 8))
@@ -339,7 +351,32 @@ class TestHelmholtz:
         assert two.values.tobytes() == np.stack(want).tobytes()
 
 
+def meshgrid_cosine_mode(grid, j, k, amplitude):
+    """cosine_mode's samples as the formula on the cell_coords meshgrid."""
+    x, y = grid.cell_coords()
+    return amplitude * np.cos(j * np.pi * x / grid.L) * np.cos(k * np.pi * y / grid.L)
+
+
+@st.composite
+def cosine_modes(draw):
+    n = draw(st.integers(8, 600))
+    L = draw(st.floats(1e-3, 1e3))
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    amplitude = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-12, 1e5))
+    return GridSpec(L=L, n=n), j, k, amplitude
+
+
 class TestCosineSampling:
+    @given(mode=cosine_modes())
+    @settings(max_examples=60, deadline=None)
+    def test_cosine_mode_has_the_bits_of_the_meshgrid_formula(self, mode):
+        # the outer product of the x and y factors takes each sample through
+        # the same operations in the same order
+        grid, j, k, amplitude = mode
+        got = cosine_mode(grid, j, k, amplitude).values
+        want = meshgrid_cosine_mode(grid, j, k, amplitude)
+        assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         grid = GridSpec(L=1.0, n=32)
         a, ca = sample_cosine_field(42, 4, 0.02, grid)

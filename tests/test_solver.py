@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +117,31 @@ class TestBuildInitial:
         # peak slightly under the amplitude: cells sample off the corner
         assert float(np.max(A.values)) - a_star == pytest.approx(0.01, rel=5e-3)
         assert np.all(N.values == 1.0)
+
+    def test_perturbed_steady_has_the_bits_of_the_meshgrid_formula(self):
+        grid = GridSpec(L=1.0, n=257)
+        ic = InitialCondition("perturbed_steady", amplitude=0.03, mode_j=3, mode_k=2)
+        A, N = build_initial(small_config(grid=grid, ic=ic))
+        a_star, n_star = steady_state(PARAMS)
+        x, y = grid.cell_coords()
+        bump = 0.03 * np.cos(3 * np.pi * x / grid.L) * np.cos(2 * np.pi * y / grid.L)
+        assert A.values.tobytes() == (a_star + bump).tobytes()
+        assert N.values.tobytes() == np.full((257, 257), n_star).tobytes()
+
+    def test_perturbed_steady_peaks_below_three_and_a_half_fields(self):
+        # A, N and the cosine mode, which is sampled from one x and one y
+        # vector of cosines; on the cell_coords meshgrid it peaked at 5 fields
+        n = 256
+        cfg = small_config(grid=GridSpec(L=1.0, n=n))
+        build_initial(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            A, N = build_initial(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 3.5 * n * n * 8
 
     def test_perturbed_steady_short(self):
         p = ShortParams(eta=0.05, a0=0.2, abar=0.8, chi=1.0)
@@ -639,20 +666,16 @@ class TestNumericalFailuresAreOutcomes:
         assert "GeneralModel.f" in result.outcome.reason
 
     @staticmethod
-    def raising_plugin(name, exc):
+    def plugin_with(name, fn):
+        """_reference_params("general") with its callable `name` set to fn."""
+        return dataclasses.replace(_reference_params("general"), **{name: fn})
+
+    @classmethod
+    def raising_plugin(cls, name, exc):
         def raising(*args):
             raise exc
 
-        callables = dict(
-            f=lambda a, n: 0.3 * n * a + 0.1,
-            g=lambda a, n: np.sqrt(n),
-            h=lambda a: 2.0 * np.log(a),
-        )
-        callables[name] = raising
-        return GeneralModel(
-            **callables, eta=0.1, omega=1.0, a_min=0.25, a_max=1.0, delta=0.5,
-            g1=1.0, g2=0.0, f1=0.3, f2=0.1,
-        )
+        return cls.plugin_with(name, raising)
 
     @pytest.mark.parametrize("name", ["f", "g", "h"])
     def test_plugin_exception_ends_the_run_failed(self, name):
@@ -670,6 +693,83 @@ class TestNumericalFailuresAreOutcomes:
         assert result.outcome.kind == "failed"
         assert f"GeneralModel.{name}" in result.outcome.reason
         assert "ZeroDivisionError" in result.outcome.reason
+
+    @pytest.mark.parametrize("name, arg", [("f", 0), ("f", 1), ("g", 0), ("g", 1), ("h", 0)])
+    def test_plugin_that_writes_its_input_ends_the_run_failed(self, name, arg):
+        # the callables see read-only views of the state; written into, the
+        # state went negative and the run ended blowup_suspected
+        inner = getattr(_reference_params("general"), name)
+
+        def writing(*args):
+            args[arg][0, 0] = -1.0
+            return inner(*args)
+
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=self.plugin_with(name, writing),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+            t_end=0.02,
+        )
+        A, N = build_initial(cfg)
+        with pytest.raises(HotspotError, match=rf"^GeneralModel\.{name} raised ValueError\("
+                                               r"'assignment destination is read-only'\)$"):
+            step(SimState(0.0, A, N), 1e-3, cfg)
+        assert np.all(A.values == 0.5) and np.all(N.values == 1.0)
+        result = run(cfg)
+        assert result.outcome.kind == "failed"
+        assert result.outcome.reason.startswith(f"GeneralModel.{name} raised ValueError")
+
+    def test_read_only_inputs_leave_a_run_bitwise_unchanged(self, tmp_path):
+        # against the same callables on writable copies of their inputs
+        seen = []
+
+        def spying(fn):
+            def call(*args):
+                seen.extend(x.flags.writeable for x in args)
+                return fn(*args)
+            return call
+
+        def copying(fn):
+            return lambda *args: fn(*(x.copy() for x in args))
+
+        grid = GridSpec(L=1.0, n=16)
+        state = _wavy_state(grid)
+        pa, pn = tmp_path / "A.field", tmp_path / "N.field"
+        write_field(pa, state.A)
+        write_field(pn, state.N)
+        ic = InitialCondition("file", path_A=str(pa), path_N=str(pn))
+        plugin = _reference_params("general")
+        results = [
+            run(small_config(grid=grid, ic=ic, params=dataclasses.replace(
+                plugin, f=wrap(plugin.f), g=wrap(plugin.g), h=wrap(plugin.h))))
+            for wrap in (spying, copying)
+        ]
+        assert seen and not any(seen)
+        got, want = results
+        assert got.outcome.kind == want.outcome.kind == "completed"
+        assert repr(got) == repr(want)  # records and counts; repr round-trips floats
+        for (_, A, N), (_, A_want, N_want) in zip(got.snapshots, want.snapshots):
+            assert A.values.tobytes() == A_want.values.tobytes()
+            assert N.values.tobytes() == N_want.values.tobytes()
+
+    def test_complex_plugin_output_ends_the_run_failed(self):
+        # the float cast dropped the imaginary part with two ComplexWarnings
+        # and the run completed
+        cfg = small_config(
+            grid=GridSpec(L=1.0, n=16),
+            params=self.plugin_with("f", lambda a, n: 0.5 * a + 0.5 + 1e-3j),
+            ic=InitialCondition("constants", a0=0.5, n0=1.0),
+            t_end=0.02,
+        )
+        A, N = build_initial(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HotspotError, match=r"^GeneralModel\.f: field values must be "
+                                                   r"real, got complex128$"):
+                step(SimState(0.0, A, N), 1e-3, cfg)
+            result = run(cfg)
+        assert result.outcome.kind == "failed"
+        assert result.outcome.reason == "GeneralModel.f: field values must be real, got complex128"
 
     def test_plugin_interrupt_is_not_wrapped(self):
         cfg = small_config(
