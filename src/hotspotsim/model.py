@@ -316,18 +316,25 @@ def validate_general_hypotheses(
 
     failures: list[str] = []
 
-    ga0 = np.asarray(m.g(a, np.zeros_like(a)), dtype=float)
+    def sample(name: str, *args) -> np.ndarray:  # the checks judge the real part
+        values = np.asarray(getattr(m, name)(*args))
+        failure = f"GeneralModel.{name}: values must be real, got {values.dtype}"
+        if np.iscomplexobj(values) and failure not in failures:
+            failures.append(failure)
+        return values.real.astype(float)
+
+    ga0 = sample("g", a, np.zeros_like(a))
     if np.any(ga0 < 0):
         bad = a[np.argmin(ga0)]
         failures.append(f"source sign: g(A, 0) = {np.min(ga0):.6g} < 0 at A={bad:.6g}")
 
-    f_lo = np.asarray(m.f(np.full_like(n, m.a_min), n), dtype=float) - m.a_min
+    f_lo = sample("f", np.full_like(n, m.a_min), n) - m.a_min
     if np.any(f_lo < 0):
         bad = n[np.argmin(f_lo)]
         failures.append(
             f"lower barrier: -a_min + f(a_min, N) = {np.min(f_lo):.6g} < 0 at N={bad:.6g}"
         )
-    f_hi = np.asarray(m.f(np.full_like(n, m.a_max), n), dtype=float) - m.a_max
+    f_hi = sample("f", np.full_like(n, m.a_max), n) - m.a_max
     if np.any(f_hi > 0):
         bad = n[np.argmax(f_hi)]
         failures.append(
@@ -336,7 +343,7 @@ def validate_general_hypotheses(
 
     aa, nn = np.meshgrid(a[:: max(1, len(a) // 32)], n[:: max(1, len(n) // 32)])
     g_env = _eval_envelope(m.g1, aa) * nn ** (1.0 - m.delta) + _eval_envelope(m.g2, aa)
-    g_val = np.abs(np.asarray(m.g(aa, nn), dtype=float))
+    g_val = np.abs(sample("g", aa, nn))
     if np.any(g_val > g_env * (1 + 1e-12) + 1e-12):
         i = np.unravel_index(np.argmax(g_val - g_env), g_val.shape)
         failures.append(
@@ -344,7 +351,7 @@ def validate_general_hypotheses(
             f"at (A, N)=({aa[i]:.6g}, {nn[i]:.6g})"
         )
     f_env = _eval_envelope(m.f1, aa) * nn + _eval_envelope(m.f2, aa)
-    f_val = np.abs(np.asarray(m.f(aa, nn), dtype=float))
+    f_val = np.abs(sample("f", aa, nn))
     if np.any(f_val > f_env * (1 + 1e-12) + 1e-12):
         i = np.unravel_index(np.argmax(f_val - f_env), f_val.shape)
         failures.append(
@@ -366,12 +373,9 @@ def validate_general_hypotheses(
     for pts, step_ in probes:
         if pts.size == 0 or smoothness_flagged:
             continue
-        hp = (np.asarray(m.h(pts + step_)) - np.asarray(m.h(pts - step_))) / (2 * step_)
-        hpp = (
-            np.asarray(m.h(pts + step_))
-            - 2 * np.asarray(m.h(pts))
-            + np.asarray(m.h(pts - step_))
-        ) / step_ ** 2
+        h_lo, h_mid, h_hi = sample("h", pts - step_), sample("h", pts), sample("h", pts + step_)
+        hp = (h_hi - h_lo) / (2 * step_)
+        hpp = (h_hi - 2 * h_mid + h_lo) / step_ ** 2
         for name, vals in (("h'", hp), ("h''", hpp)):
             worst = float(np.max(np.abs(vals))) if np.all(np.isfinite(vals)) else math.inf
             if not math.isfinite(worst) or worst > _DERIV_CAP:

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import math
@@ -643,6 +644,74 @@ class TestSnapshotEmission:
     ])
     def test_snapshot_tags(self, times, tags):
         assert cli._snapshot_tags(times) == tags
+
+
+def _pgm_levels(path, n) -> np.ndarray:
+    """The n x n grey levels of a PGM, indexed [x, y] like the field."""
+    data = Path(path).read_bytes()
+    header = f"P5\n{n} {n}\n255\n".encode()
+    assert data.startswith(header)
+    return np.frombuffer(data[len(header):], dtype=np.uint8).reshape(n, n).T
+
+
+def _reference_levels(v: np.ndarray) -> np.ndarray:
+    """The quantisation of the first PGM writer, for ranges where 255 times
+    the range is finite."""
+    lo, hi = float(np.min(v)), float(np.max(v))
+    if hi > lo:
+        return np.rint(255.0 * (v - lo) / (hi - lo)).astype(np.uint8)
+    return np.zeros_like(v, dtype=np.uint8)
+
+
+class TestPgmScaling:
+    @pytest.mark.parametrize("lo, hi, levels", [
+        (1.0, 1e308, [0, 255]),
+        (-1e308, 1e308, [0, 255]),
+        (-np.finfo(float).max, np.finfo(float).max, [0, 255]),
+        (0.0, 1e306, [0, 255]),
+    ])
+    def test_a_range_past_the_double_range_maps_to_the_full_scale(
+        self, tmp_path, lo, hi, levels
+    ):
+        grid = GridSpec(1.0, 16)
+        v = np.full((16, 16), lo)
+        v[3, 5] = hi
+        path = tmp_path / "A.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli._write_pgm(path, ScalarField(grid, v))
+        got = _pgm_levels(path, 16)
+        assert got[3, 5] == levels[1]
+        assert np.count_nonzero(got == levels[0]) == 16 * 16 - 1
+        assert json.loads(Path(f"{path}.json").read_text()) == {
+            "levels": 255, "max": hi, "min": lo}
+
+    def test_a_huge_range_keeps_its_middle_level(self, tmp_path):
+        grid = GridSpec(1.0, 16)
+        v = np.zeros((16, 16))
+        v[0, 0], v[1, 1] = -1e308, 1e308
+        cli._write_pgm(tmp_path / "A.pgm", ScalarField(grid, v))
+        got = _pgm_levels(tmp_path / "A.pgm", 16)
+        assert (got[0, 0], got[1, 1], got[2, 2]) == (0, 255, 128)
+
+    @given(
+        n=st.integers(8, 16),
+        seed=st.integers(0, 2 ** 32 - 1),
+        center=st.floats(-1e300, 1e300),
+        log_span=st.floats(-300, float(np.log10(np.finfo(float).max / 255))),
+    )
+    @example(n=8, seed=0, center=0.0, log_span=float(np.log10(np.finfo(float).max / 255)))
+    @example(n=8, seed=1, center=1.0, log_span=-400.0)
+    @settings(max_examples=60, deadline=None)
+    def test_levels_are_those_of_the_first_writer_where_255_times_the_range_is_finite(
+        self, n, seed, center, log_span
+    ):
+        v = center + 10.0 ** log_span * np.random.default_rng(seed).uniform(-0.5, 0.5, (n, n))
+        assume(np.all(np.isfinite(v)) and math.isfinite(255.0 * (v.max() - v.min())))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "A.pgm"
+            cli._write_pgm(path, ScalarField(GridSpec(1.0, n), v))
+            assert np.array_equal(_pgm_levels(path, n), _reference_levels(v))
 
 
 def _count_step_calls(monkeypatch) -> dict:
@@ -1430,3 +1499,154 @@ def test_no_subcommand_imports_scipy(tmp_path):
     assert (tmp_path / "off" / "out" / "outcome.json").is_file()
     assert not list((tmp_path / "off" / "out").glob("A_*"))
     assert (tmp_path / "out" / "A_0.010000.field").is_file()
+
+
+def _fresh_env() -> dict:
+    """The environment of a new process that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
+def _fresh_python(args: list, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=_fresh_env(), **kwargs)
+
+
+class TestExitFreeze:
+    """`main` freezes the heap for a command and unfreezes it on return, and
+    registers `gc.freeze` to run at exit, before the interpreter's shutdown
+    collections, which then skip every object alive at that point."""
+
+    def test_main_leaves_the_freeze_count_as_it_found_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, **{"grid.n": 16, "time.t_end": 0.01})
+        before = gc.get_freeze_count()
+        assert cli.main(["simulate", str(cfg)]) == 0
+        assert gc.get_freeze_count() == before
+        assert cli.main(["steady"]) == 1  # a usage error returns through the same path
+        assert gc.get_freeze_count() == before
+
+    _PROBE = """
+import atexit
+import gc
+import json
+import sys
+
+freezes = []
+freeze = gc.freeze
+
+
+def counting_freeze():
+    freezes.append(1)
+    freeze()
+
+
+gc.freeze = counting_freeze
+
+
+def probe():
+    # registered before main, so it runs after every handler main registers
+    print(json.dumps({"codes": codes, "in_main": in_main,
+                      "at_exit": len(freezes) - in_main,
+                      "frozen_at_exit": gc.get_freeze_count()}))
+
+
+atexit.register(probe)
+from hotspotsim import cli
+
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+in_main = len(freezes)
+print(json.dumps({"frozen_after_main": gc.get_freeze_count()}))
+"""
+
+    @pytest.fixture(scope="class")
+    def probed(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("exit_freeze")
+        cfg = tmp / "run.json"
+        write_config(cfg, **{"grid.n": 16, "time.t_end": 0.02})
+        commands = [["simulate", str(cfg)], ["steady", "--psi", "0.1", "--atilde", "0.7"]]
+        proc = _fresh_python(["-c", self._PROBE, json.dumps(commands)], check=True)
+        lines = proc.stdout.splitlines()
+        return tmp / "out", json.loads(lines[-2]), json.loads(lines[-1])
+
+    def test_exit_handlers_registered_before_main_see_a_frozen_heap(self, probed):
+        out_dir, after_main, at_exit = probed
+        assert after_main == {"frozen_after_main": 0}
+        assert at_exit["codes"] == [0, 0]
+        assert at_exit["frozen_at_exit"] > 0
+        # the run's outputs are complete: 3 outputs, A and N, three files each
+        assert json.loads((out_dir / "outcome.json").read_text())["outcome"] == "completed"
+        assert len((out_dir / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+        assert len(_snapshot_files(out_dir)) == 3 * 2 * 3
+
+    def test_two_calls_of_main_register_the_exit_hook_once(self, probed):
+        _, _, at_exit = probed
+        assert (at_exit["in_main"], at_exit["at_exit"]) == (2, 1)
+
+    def test_importing_the_package_registers_no_exit_hook(self):
+        proc = _fresh_python(["-c", "import atexit, gc; import hotspotsim.cli; "
+                              "atexit.register(lambda: print(gc.get_freeze_count()))"],
+                             check=True)
+        assert proc.stdout == "0\n"
+
+
+def _huge_range_run(tmp_path) -> Path:
+    """A 16² Short run whose A0 holds one cell of 1e308 among 1.0: it ends
+    failed at t=0, after its t=0 snapshot is written."""
+    grid = GridSpec(1.0, 16)
+    a0 = np.ones((16, 16))
+    a0[3, 5] = 1e308
+    write_field(tmp_path / "A0.field", ScalarField(grid, a0))
+    write_field(tmp_path / "N0.field", ScalarField(grid, np.full((16, 16), 0.75)))
+    cfg = tmp_path / "huge.json"
+    write_config(
+        cfg,
+        model={"kind": "short", "eta": 0.05, "a0": 0.2, "abar": 0.8, "chi": 1.0},
+        grid={"L": 1.0, "n": 16},
+        ic={"recipe": "file", "path_A": str(tmp_path / "A0.field"),
+            "path_N": str(tmp_path / "N0.field")},
+        **{"outputs.dir": str(tmp_path / "out_huge")},
+    )
+    return cfg
+
+
+def test_simulate_writes_only_documented_lines_to_stderr(tmp_path):
+    """Fresh `python -m hotspotsim.cli simulate` processes on tiny configs,
+    one for each outcome kind: the exit code and outcome.json agree, and
+    every stderr line is an `error:` or `reason:` line, so no warning or
+    traceback escapes."""
+    runs = {}
+    runs["completed"] = tmp_path / "completed.json"
+    write_config(runs["completed"], **{"grid.n": 16, "time.t_end": 0.01,
+                                      "outputs.dir": str(tmp_path / "out_completed")})
+    runs["blowup"] = tmp_path / "blowup.json"
+    write_config(
+        runs["blowup"],
+        model={"kind": "short", "eta": 0.05, "a0": 0.2, "abar": 0.8, "chi": 4.0},
+        grid={"L": 1.0, "n": 16},
+        time={"t_end": 2.0, "dt_init": 5e-4, "dt_min": 1e-9, "output_every": 0.16},
+        ic={"recipe": "perturbed_steady", "amplitude": 0.5, "mode_j": 2, "mode_k": 1},
+        outputs={"dir": str(tmp_path / "out_blowup"), "snapshots": False},
+    )
+    runs["failed"] = tmp_path / "failed.json"
+    write_config(runs["failed"], **{"grid.n": 16, "model.chi": 1e308,
+                                   "ic.amplitude": 0.3, "ic.mode_j": 3, "ic.mode_k": 2,
+                                   "outputs.dir": str(tmp_path / "out_failed")})
+    runs["huge"] = _huge_range_run(tmp_path)
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-m", "hotspotsim.cli", "simulate", str(cfg)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_fresh_env(),
+    ) for name, cfg in runs.items()}
+    seen = {}
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        doc = json.loads((tmp_path / f"out_{name}" / "outcome.json").read_text())
+        seen[name] = (proc.returncode, doc["outcome"], out.splitlines()[-1].split(" at ")[0])
+        assert all(line.startswith(("error:", "reason:")) for line in err.splitlines()), err
+    assert seen == {
+        "completed": (0, "completed", "outcome: completed"),
+        "blowup": (3, "blowup_suspected", "outcome: blowup_suspected"),
+        "failed": (1, "failed", "outcome: failed"),
+        "huge": (1, "failed", "outcome: failed"),
+    }
+    levels = _pgm_levels(tmp_path / "out_huge" / "A_0.000000.pgm", 16)
+    assert levels[3, 5] == 255 and np.count_nonzero(levels) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,29 @@ class TestGeneralModel:
         r1 = validate_general_hypotheses(m, seed=5)
         r2 = validate_general_hypotheses(m, seed=5)
         assert r1 == r2
+
+    @pytest.mark.parametrize("name, fn", [
+        ("f", lambda a, n: 0.3 * np.asarray(n) * np.asarray(a) + 0.1 + 1e-3j),
+        ("g", lambda a, n: np.sqrt(np.asarray(n, float)) + 1e-3j),
+        ("h", lambda a: np.log(np.asarray(a, float)) + 1e-3j),
+    ])
+    def test_complex_result_is_a_failure_naming_the_callable(self, name, fn):
+        # judging only the real part would drop the imaginary part unseen,
+        # where a run with the same plugin ends failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_general_hypotheses(make_general(**{name: fn}))
+        assert not report.passed
+        assert f"GeneralModel.{name}: values must be real, got complex128" in report.failures
+        assert sum("must be real" in msg for msg in report.failures) == 1
+
+    def test_real_results_give_the_same_report(self):
+        # a real plugin is judged as before: the same failures, in order
+        m = make_general(g=lambda a, n: np.asarray(n, float) - 1.0, g1=1.0, g2=1.0,
+                         f=lambda a, n: np.full_like(np.asarray(a, float), 2.0))
+        report = validate_general_hypotheses(m)
+        assert [msg.split(":")[0] for msg in report.failures] == [
+            "source sign", "upper barrier", "g-envelope", "f-envelope"]
 
     def test_bad_declarations_rejected(self):
         with pytest.raises(ValueError):
