@@ -562,7 +562,7 @@ class DiagnosticsRecord:
     bound_flags: Optional[BoundFlags] = None
     residuals: Optional[EnergyResiduals] = None
     # the output's energy terms, where diagnostics_record took them (see
-    # _output_scalars); run() moves them into its window
+    # _output_scalars); _append_record combines those of the last three records
     terms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def csv_row(self) -> str:
@@ -607,3 +607,19 @@ def diagnostics_record(
                                            state.A.grid.area, bounds, params, n0_mass, tol)
             rec.mass_residual = rec.bound_flags.mass_residual
     return rec
+
+
+def _append_record(records, state, params, bounds, n0_mass, tol, last) -> None:
+    """Append the diagnostics record of the output `state` to `records`, a
+    run's records so far, whose last three are the energy window: the new
+    record completes the window of the one before it, whose residuals are
+    filled in where the three are uniformly spaced and each has its terms.
+    Terms are None for a model other than the main one and where N > 0
+    fails; the first output, the `last` and one of A <= 0 (after which the
+    next step's velocity ends the run) have no middle terms."""
+    records.append(diagnostics_record(state, params, bounds, n0_mass, tol,
+                                      middle=bool(records) and not last))
+    window = records[-3:]
+    times, terms = [rec.t for rec in window], [rec.terms for rec in window]
+    if len(window) == 3 and _uniform_spacing(*times) and None not in terms:
+        window[1].residuals = _energy_balances(times, terms, params)

@@ -431,7 +431,9 @@ def main(argv=None) -> int:
     # collections: the first one of a command (0.2 ms, in whichever phase
     # reaches the allocation threshold) and, frozen again by the exit hook
     # (registered once), the interpreter's shutdown collections (14 ms).
-    gc.freeze()
+    own_freeze = gc.get_freeze_count() == 0  # a caller's frozen heap is left as it is
+    if own_freeze:
+        gc.freeze()
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     try:
@@ -448,7 +450,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:
-        gc.unfreeze()
+        if own_freeze:
+            gc.unfreeze()
 
 
 def entry() -> None:

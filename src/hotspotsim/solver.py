@@ -279,11 +279,12 @@ _SNAP = 1e-12
 
 def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     """Integrate to t_end or termination; deterministic given the config.
-    Each output is reduced, when it arrives, to the scalars of its energy
-    windows, and its residuals are filled in when the next output arrives,
+    Each output is reduced, when it arrives, to its diagnostics record, and
+    the record before it gets its residuals then (analysis._append_record),
     so the loop holds the fields of no earlier output; RunResult.snapshots
     holds copies of them all when `keep_snapshots` is true and stays empty
-    otherwise."""
+    otherwise.  A guard rejection halves the step, and the next step grows
+    from the halved one; a rejection below dt_min ends the run."""
     g = config.grid
     # two state stacks in turn for the whole run: an attempt reads the
     # state's and writes the other, so a rejected attempt leaves the state
@@ -299,26 +300,16 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     a_floor = sensitivity_floor(state.A, bounds)
     n0_mass = integral(state.N)
     area = g.area
-
-    tol = config.guard_tol
     records, snapshots = [], []
-    window = []  # (t, scalars) of the last outputs; see _slide_window
 
     def output() -> None:
-        # the record and, for the main model, the scalars of the output's
-        # energy windows, in one pass; the first and the last output are
-        # no window's middle
-        last = state.t >= config.t_end - _SNAP
-        records.append(analysis.diagnostics_record(
-            state, params, bounds, n0_mass, tol, middle=bool(window) and not last
-        ))
+        analysis._append_record(records, state, params, bounds, n0_mass, config.guard_tol,
+                                last=state.t >= config.t_end - _SNAP)
         if keep_snapshots:
             # a copy: the steps go on writing the state's stack
             values = np.stack((state.A.values, state.N.values))
             snapshots.append((state.t, ScalarField._checked(g, values[0]),
                               ScalarField._checked(g, values[1])))
-        if bounds is not None:
-            _slide_window(window, records, params)
 
     # no numpy warning: a value that is not finite is left to the checks
     # that name it (adapt_dt, the explicit stage, the guards, the residual)
@@ -341,25 +332,15 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
                 # clipping to the output boundary may shrink the step legitimately;
                 # only guard-driven halving counts toward the dt_min floor
                 dt_try = min(dt, t_next - state.t)
-                halved = False
                 while True:
-                    if halved and dt_try < config.dt_min * (1.0 - 1e-12):
-                        outcome = Outcome(
-                            "blowup_suspected",
-                            state.t,
-                            "step size collapsed below dt_min under positivity guards",
-                        )
-                        break
                     try:
                         new_state = step(state, dt_try, config, bounds, velocity)
+                        break
                     except StepRejected:
-                        dt_try *= 0.5
-                        halved = True
                         rejected += 1
-                        continue
-                    break
-                if outcome.kind != "completed":
-                    break
+                        dt = dt_try = dt_try * 0.5
+                        if dt_try < config.dt_min * (1.0 - 1e-12):
+                            raise
 
                 if bounds is not None:
                     new_mass = integral(new_state.N)
@@ -374,11 +355,12 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
                     max_mass_res = max(max_mass_res, res)
                     n_mass = new_mass
                 state = new_state
-                if halved:
-                    dt = dt_try
                 if state.t >= t_next - _SNAP:
                     output()
                     out_idx += 1
+        except StepRejected:  # re-raised by a rejection below dt_min
+            outcome = Outcome("blowup_suspected", state.t,
+                              "step size collapsed below dt_min under positivity guards")
         except HotspotError as exc:
             # every numerical failure that halving cannot cure: a velocity that
             # is not finite, a solve above its residual tolerance, A below the
@@ -389,21 +371,3 @@ def run(config: SimConfig, keep_snapshots: bool = True) -> RunResult:
     return RunResult(
         records, snapshots, outcome, max_mass_res, state.step_count, rejected
     )
-
-
-def _slide_window(window, records, params) -> None:
-    """Move the energy terms of the last of `records` into `window`, the
-    (t, terms) of the last outputs; they are None where N > 0 fails, and
-    have no middle terms for the first output, the last, or one of A <= 0,
-    after which the next step's velocity ends the run.  The output completes
-    the three-output window of the output before it, whose energy residuals
-    are filled in where that window is uniformly spaced and N > 0 holds on
-    all three."""
-    rec = records[-1]
-    window.append((rec.t, rec.terms))
-    rec.terms = None
-    if len(window) == 3:
-        (t0, s0), (t1, s1), (t2, s2) = window
-        if analysis._uniform_spacing(t0, t1, t2) and None not in (s0, s1, s2):
-            records[-2].residuals = analysis._energy_balances((t0, t1, t2), (s0, s1, s2), params)
-        del window[0]

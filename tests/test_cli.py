@@ -1524,6 +1524,19 @@ class TestExitFreeze:
         assert gc.get_freeze_count() == before
         assert cli.main(["steady"]) == 1  # a usage error returns through the same path
         assert gc.get_freeze_count() == before
+        # a caller's own freeze outlives the call (a command that frees a
+        # frozen object lowers the count, so these two free none)
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            assert cli.main(["steady", "--psi", "0.1", "--atilde", "0.7"]) == 0
+            assert gc.get_freeze_count() == frozen
+            assert cli.main(["steady"]) == 1
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+        capsys.readouterr()
 
     _PROBE = """
 import atexit

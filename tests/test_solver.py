@@ -443,6 +443,70 @@ class TestRun:
             assert rec.phi == pytest.approx(first.phi, abs=1e-12)
 
 
+class TestRetrySchedule:
+    """A guard rejection halves the attempted step; halving stops at the
+    dt_min floor, and the step grows again from the one accepted."""
+
+    @staticmethod
+    def scripted_run(monkeypatch, cfg, rejects):
+        """run(cfg) with a solver.step that rejects the attempts whose
+        0-based index `rejects(k)` is true; returns the result, the
+        attempted dts and the time of each accepted state."""
+        dts, accepted = [], []
+        real = solver.step
+
+        def scripted(state, dt, config, bounds=None, velocity=None):
+            dts.append(dt)
+            if rejects(len(dts) - 1):
+                raise StepRejected("forced for the schedule test")
+            new_state = real(state, dt, config, bounds, velocity)
+            accepted.append(new_state.t)
+            return new_state
+
+        monkeypatch.setattr(solver, "step", scripted)
+        return run(cfg, keep_snapshots=False), dts, accepted
+
+    @pytest.mark.parametrize("dt_min", [1e-3 / 8, 1e-6])
+    def test_an_always_rejected_step_halves_down_to_dt_min(self, monkeypatch, dt_min):
+        # three accepted steps of dt_max, then every attempt is rejected
+        cfg = small_config(grid=GridSpec(L=1.0, n=16), dt_init=1e-3, dt_max=1e-3,
+                           dt_min=dt_min)
+        result, dts, accepted = self.scripted_run(monkeypatch, cfg, lambda k: k >= 3)
+        halved = [1e-3]
+        while halved[-1] * 0.5 >= dt_min * (1.0 - 1e-12):
+            halved.append(halved[-1] * 0.5)
+        assert dts == [1e-3] * 3 + halved
+        assert halved[-1] >= dt_min * (1.0 - 1e-12) > halved[-1] * 0.5
+        assert result.steps_rejected == len(halved)
+        assert result.outcome.kind == "blowup_suspected"
+        assert "dt_min" in result.outcome.reason
+        assert result.outcome.t == accepted[-1] > 0
+        assert result.steps_accepted == 3
+
+    def test_a_step_clipped_below_dt_min_is_attempted(self, monkeypatch):
+        # 0.01 then the 0.0005 left to the output at 0.0105, below dt_min
+        cfg = small_config(grid=GridSpec(L=1.0, n=16), dt_init=1e-2, dt_min=1e-3,
+                           dt_max=1e-2, output_every=0.0105, t_end=0.021)
+        result, dts, _ = self.scripted_run(monkeypatch, cfg, lambda k: False)
+        assert result.outcome.kind == "completed"
+        assert result.steps_rejected == 0
+        assert dts[:2] == [1e-2, pytest.approx(5e-4)]
+        assert dts[1] < cfg.dt_min
+        assert [rec.t for rec in result.records] == pytest.approx([0.0, 0.0105, 0.021])
+
+    @pytest.mark.parametrize("halvings", [1, 3])
+    def test_the_step_grows_from_the_accepted_halved_dt(self, monkeypatch, halvings):
+        # attempt 0 is accepted, attempts 1..halvings rejected, then accepted
+        cfg = small_config(grid=GridSpec(L=1.0, n=16), dt_init=1e-3)
+        result, dts, _ = self.scripted_run(monkeypatch, cfg, lambda k: 1 <= k <= halvings)
+        assert result.outcome.kind == "completed"
+        assert result.steps_rejected == halvings
+        assert dts[1] == dts[0] * 1.1
+        for k in range(2, halvings + 2):
+            assert dts[k] == dts[k - 1] * 0.5
+        assert dts[halvings + 2] == dts[halvings + 1] * 1.1
+
+
 class TestOutputWindow:
     """run() reduces each output, when it arrives, to the scalars its energy
     windows take, fills its residuals when the next output arrives, and
@@ -555,6 +619,33 @@ class TestOutputWindow:
         assert [rec.minA < 0 for rec in result.records] == [False, True]
         assert (result.outcome.kind, result.outcome.t) == ("failed", result.records[-1].t)
         assert result.outcome.reason.startswith("A dropped to")
+
+    @pytest.mark.parametrize("t_end", [0.05, 0.045])
+    def test_residuals_are_filled_when_the_next_output_arrives(self, monkeypatch, t_end):
+        # the balance of the window ending at output k runs after output k's
+        # record is taken and before output k + 1's
+        events = []
+        record, balances = analysis.diagnostics_record, analysis._energy_balances
+
+        def logged_record(state, *args, **kwargs):
+            events.append(("record", state.t))
+            return record(state, *args, **kwargs)
+
+        def logged_balances(times, *args):
+            events.append(("balance", times[-1]))
+            return balances(times, *args)
+
+        monkeypatch.setattr(analysis, "diagnostics_record", logged_record)
+        monkeypatch.setattr(analysis, "_energy_balances", logged_balances)
+        result = run(small_config(t_end=t_end), keep_snapshots=False)
+        assert result.outcome.kind == "completed"
+        expected = []
+        for k, rec in enumerate(result.records):
+            expected.append(("record", rec.t))
+            if k >= 2 and result.records[k - 1].residuals is not None:
+                expected.append(("balance", rec.t))
+        assert events == expected
+        assert [kind for kind, _ in events].count("balance") == (4 if t_end == 0.05 else 3)
 
     def test_snapshots_are_kept_by_default_only(self):
         cfg = small_config()
