@@ -30,25 +30,24 @@ from .grid import (
 from .model import DerivedBounds, ModelParams, ShortParams
 
 
-def _finite_flag(text: str) -> float:
-    """A flag value that is a finite float (argparse reports a ValueError)."""
-    if not math.isfinite(float(text)):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return float(text)
+def _number(kind=float, positive=False):
+    """The argparse type of a flag whose value is a finite `kind`, > 0 if
+    `positive`; any other text, a word too, is an ArgumentTypeError."""
+    low = 0 if positive else -math.inf
+    words = "an integer" if kind is int else "a finite number"
+    if positive:
+        words += " > 0"
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # NaN fails the comparison below
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {words}, got {text!r}")
+        return value
 
-def _positive_float(text: str) -> float:
-    """A flag value that is a finite float > 0 (argparse reports a ValueError)."""
-    if not 0 < float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return float(text)
-
-
-def _positive_int(text: str) -> int:
-    """A flag value that is an integer > 0 (argparse reports a ValueError)."""
-    if not int(text) > 0:
-        raise argparse.ArgumentTypeError(f"must be an integer > 0, got {text!r}")
-    return int(text)
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,28 +397,28 @@ def build_parser() -> _Parser:
 
     p_chk = sub.add_parser("check", help="evaluate the global-existence condition")
     for flag in ("eta", "psi", "chi", "atilde", "amin", "amax", "n1max", "L"):
-        p_chk.add_argument(f"--{flag}", type=_finite_flag, required=flag != "L", default=1.0)
-    p_chk.add_argument("--mu", type=_positive_float, default=None)
-    p_chk.add_argument("--K", type=_positive_float, default=None)
+        p_chk.add_argument(f"--{flag}", type=_number(), required=flag != "L", default=1.0)
+    p_chk.add_argument("--mu", type=_number(positive=True), default=None)
+    p_chk.add_argument("--K", type=_number(positive=True), default=None)
     p_chk.set_defaults(fn=cmd_check)
 
     p_tab = sub.add_parser("table", help="critical static attractiveness vs eta")
-    p_tab.add_argument("--psi", type=_finite_flag, required=True)
-    p_tab.add_argument("--area", type=_finite_flag, required=True)
+    p_tab.add_argument("--psi", type=_number(), required=True)
+    p_tab.add_argument("--area", type=_number(), required=True)
     p_tab.add_argument("--eta-list", required=True)
     p_tab.set_defaults(fn=cmd_table)
 
     p_ver = sub.add_parser("verify", help="sampled functional-inequality probes")
     p_ver.add_argument("--n", type=int, default=64)
-    p_ver.add_argument("--samples", type=_positive_int, default=100)
+    p_ver.add_argument("--samples", type=_number(int, positive=True), default=100)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--max-mode", type=int, default=4)
-    p_ver.add_argument("--amplitude", type=_positive_float, default=0.02)
+    p_ver.add_argument("--amplitude", type=_number(positive=True), default=0.02)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_std = sub.add_parser("steady", help="homogeneous steady state")
-    p_std.add_argument("--psi", type=_finite_flag, required=True)
-    p_std.add_argument("--atilde", type=_finite_flag, required=True)
+    p_std.add_argument("--psi", type=_number(), required=True)
+    p_std.add_argument("--atilde", type=_number(), required=True)
     p_std.set_defaults(fn=cmd_steady)
 
     return parser

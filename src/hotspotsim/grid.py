@@ -16,6 +16,7 @@ import itertools
 import math
 import operator
 import os
+import types
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -36,14 +37,15 @@ _PAD = 8  # floats, one 64-byte cache line, added to each row of the transforms
 # The orthonormal DCT pair
 # ---------------------------------------------------------------------------
 #
-# The Helmholtz solves need only the orthonormal 2-D DCT-II and its inverse.
-# They come from scipy's own pocketfft extension, loaded by file path:
-# importing scipy.fft would also load scipy.special and scipy's array-API
-# layer, which is most of a process's start-up.  Checked against scipy
-# 1.17.1, where scipy.fft.dctn/idctn(type=2, norm="ortho") on a float64
-# array make the same extension call, so the results are bitwise equal.
-# scipy.fft is the fallback when the file is missing, fails to load or
-# fails the known-answer check.
+# The Helmholtz solves need only the orthonormal 2-D DCT-II and its inverse,
+# each in place over the last two axes of a float64 (k, n, m) stack.  They
+# come from scipy's own pocketfft extension, loaded by file path: importing
+# scipy.fft would also load scipy.special and scipy's array-API layer, which
+# is most of a process's start-up.  Checked against scipy 1.17.1, where
+# scipy.fft.dctn/idctn(type=2, norm="ortho") on a float64 array make the
+# same extension call, so the results are bitwise equal.  scipy.fft, its
+# result copied back, is the fallback when the file is missing, fails to
+# load or fails the known-answer check.
 
 def _pocketfft_path() -> str | None:
     """Path of scipy's pocketfft extension, found without importing scipy."""
@@ -65,56 +67,44 @@ def _load_pocketfft_dct(path: str):
     return module.dct
 
 
-class _PocketDCT:
-    """`dctn`/`idctn` with scipy.fft's keywords, for the orthonormal type-2
-    pair over `axes` (all by default).  `dct(x, type, axes, inorm, out,
-    nthreads, orthogonalize)`: inorm=1 is "ortho", out=x is in place."""
-
-    def __init__(self, dct):
-        self._dct = dct
-
-    def dctn(self, x, type=2, norm="ortho", overwrite_x=False, axes=None):
-        return self._transform(x, 2, type, norm, overwrite_x, axes)
-
-    def idctn(self, x, type=2, norm="ortho", overwrite_x=False, axes=None):
-        return self._transform(x, 3, type, norm, overwrite_x, axes)
-
-    def _transform(self, x, kind, type, norm, overwrite_x, axes):
-        if type != 2 or norm != "ortho":
-            raise ValueError("only the orthonormal type-2 DCT pair is available")
-        out = x if overwrite_x else None
-        return self._dct(x, kind, tuple(axes or range(x.ndim)), 1, out, 1, True)
-
-
 def _passes_known_answer(fft) -> bool:
     """On n=8, 1 + cos(3 pi x) cos(5 pi y) at cell centers has the two
     orthonormal DCT-II coefficients n at (0, 0) and n/2 at (3, 5), and the
-    inverse maps those back to it, both to 1e-12."""
+    inverse maps those back to it, both to 1e-12; a (1, 8, 8) stack."""
     n = 8
     c = (np.arange(n) + 0.5) / n
-    x = 1.0 + np.outer(np.cos(3 * np.pi * c), np.cos(5 * np.pi * c))
-    expected = np.zeros((n, n))
-    expected[0, 0], expected[3, 5] = n, n / 2
-    coeffs = fft.dctn(x, type=2, norm="ortho")
-    if not np.allclose(coeffs, expected, rtol=0, atol=1e-12):
+    x = 1.0 + np.outer(np.cos(3 * np.pi * c), np.cos(5 * np.pi * c))[None]
+    expected = np.zeros((1, n, n))
+    expected[0, 0, 0], expected[0, 3, 5] = n, n / 2
+    if not np.allclose(fft.dctn(x.copy()), expected, rtol=0, atol=1e-12):
         return False
-    return np.allclose(fft.idctn(expected, type=2, norm="ortho"), x, rtol=0, atol=1e-12)
+    return np.allclose(fft.idctn(expected), x, rtol=0, atol=1e-12)
 
 
-def _load_dct():
-    """The DCT pair of the Helmholtz solves: scipy's pocketfft extension
-    when it loads and passes the known-answer check, else scipy.fft."""
+def _load_dct() -> types.SimpleNamespace:
+    """The DCT pair of the Helmholtz solves, `dctn(x)` and `idctn(x)`, each returning x."""
     path = _pocketfft_path()
     if path is not None:
         try:
-            fft = _PocketDCT(_load_pocketfft_dct(path))
+            # dct(x, type, axes, inorm, out, nthreads, orthogonalize); inorm=1 is "ortho"
+            dct = _load_pocketfft_dct(path)
+            fft = types.SimpleNamespace(dctn=lambda x: dct(x, 2, (1, 2), 1, x, 1, True),
+                                        idctn=lambda x: dct(x, 3, (1, 2), 1, x, 1, True))
             if _passes_known_answer(fft):
                 return fft
         except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
             pass
     from scipy import fft
 
-    return fft
+    def dctn(x):
+        np.copyto(x, fft.dctn(x, type=2, norm="ortho", axes=(1, 2)))
+        return x
+
+    def idctn(x):
+        np.copyto(x, fft.idctn(x, type=2, norm="ortho", axes=(1, 2)))
+        return x
+
+    return types.SimpleNamespace(dctn=dctn, idctn=idctn)
 
 
 _fft = _load_dct()
@@ -496,16 +486,11 @@ def _helmholtz(out: _Stack, rhs: np.ndarray, ds, lams, dt: float, rhs_sq=None) -
             np.multiply(ws.eig_sum, key[0], out=denom)
             denom += key[1]
             ws.denom_keys[s] = key
-    # pocketfft transforms in place; the scipy.fft fallback may not.  The
-    # division is one flat pass over the padded rows, a pad divided by c
-    spectral = out.spectral
-    np.copyto(spectral, rhs)
-    u = _fft.dctn(spectral, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
-    if u is not spectral:
-        np.copyto(spectral, u)
+    # the division is one flat pass over the padded rows, a pad divided by c
+    np.copyto(out.spectral, rhs)
+    _fft.dctn(out.spectral)
     out.transform /= out.denom
-    u = _fft.idctn(spectral, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
-    np.copyto(out.values, u)
+    np.copyto(out.values, _fft.idctn(out.spectral))
 
     # residual of the applied operator, c*u - dt*d*Lap_h(u) - rhs, as one
     # five-point stencil: (c + 4k) u - k (sum of the four neighbours) - rhs

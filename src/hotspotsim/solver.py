@@ -91,6 +91,8 @@ class SimConfig:
             raise ValueError(f"unknown flux scheme {self.flux_scheme!r}")
         if self.dt_max is not None and not self.dt_max > 0:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if self.dt_max is not None and self.dt_max < self.dt_min:
+            raise ValueError(f"dt_max must be at least dt_min, got {self.dt_max} < {self.dt_min}")
         if not self.guard_tol > 0:
             raise ValueError(f"guard_tol must be positive, got {self.guard_tol}")
         if not isinstance(self.params, ModelKind):

@@ -294,9 +294,9 @@ class TestHelmholtz:
             dctn = staticmethod(real.dctn)
 
             @staticmethod
-            def idctn(x, *args, **kwargs):
+            def idctn(x):
                 # one cell of the first slice of the solve's stack
-                u = real.idctn(x, *args, **kwargs)
+                u = real.idctn(x)
                 u[(0, *cell)] += 1e-6
                 return u
 
@@ -1054,57 +1054,79 @@ def _load_fails(path):
     raise ImportError(f"cannot load {path}")
 
 
-class TestDctPair:
-    """The DCT pair loaded from scipy's pocketfft extension against
-    scipy.fft, which makes the same call."""
+def _per_slice(transform, stack):
+    """scipy.fft's orthonormal type-2 `transform` of each slice on its own."""
+    return np.stack([transform(s, type=2, norm="ortho") for s in stack])
 
-    def test_the_extension_is_loaded(self):
-        assert isinstance(grid_module._fft, grid_module._PocketDCT)
-        assert isinstance(grid_module._load_dct(), grid_module._PocketDCT)
+
+def _padded(values):
+    """`values`, a (k, n, n) stack, copied into the view of padded rows that
+    the solves transform, on a workspace of its own, and those whole rows."""
+    n = values.shape[-1]
+    stack = grid_module._Stack(grid_module._Workspace(GridSpec(L=1.0, n=n)),
+                               np.empty_like(values))
+    np.copyto(stack.spectral, values)
+    return stack.spectral, stack.transform
+
+
+class TestDctPair:
+    """The DCT pair of the Helmholtz solves, dctn(x) and idctn(x), each in
+    place over the last two axes of a float64 (k, n, m) stack, against
+    scipy.fft on each slice, which makes the same extension call."""
+
+    def test_the_extension_is_loaded(self, monkeypatch):
+        kinds = []
+        real = grid_module._load_pocketfft_dct
+
+        def recording(path):
+            dct = real(path)
+
+            def called(x, kind, *args):
+                kinds.append(kind)
+                return dct(x, kind, *args)
+
+            return called
+
+        monkeypatch.setattr(grid_module, "_load_pocketfft_dct", recording)
+        fft = grid_module._load_dct()
+        assert kinds == [2, 3]  # the known-answer check
+        x = np.ones((1, 8, 8))
+        assert fft.dctn(x) is x
+        assert fft.idctn(x) is x
+        assert kinds == [2, 3, 2, 3]
+        # the module's pair was built by the same branch of _load_dct
+        assert grid_module._fft.dctn.__code__ is fft.dctn.__code__
 
     @pytest.mark.parametrize("n", [8, 9, 64])
-    @pytest.mark.parametrize("overwrite_x", [False, True])
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_bitwise_equal_to_scipy(self, n, overwrite_x, transposed):
-        base = np.random.default_rng(n).standard_normal((n, n))
-        view = (lambda a: a.T) if transposed else (lambda a: a)
-        ours, theirs = view(base.copy()), view(base.copy())
-        got = grid_module._fft.dctn(ours, type=2, norm="ortho", overwrite_x=overwrite_x)
-        want = scipy_fft.dctn(theirs, type=2, norm="ortho", overwrite_x=overwrite_x)
-        assert got.tobytes() == want.tobytes()
-        assert ours.tobytes() == theirs.tobytes()
-        if not overwrite_x:
-            assert ours.tobytes() == view(base).tobytes()
-        back = grid_module._fft.idctn(got, type=2, norm="ortho", overwrite_x=overwrite_x)
-        back_want = scipy_fft.idctn(want, type=2, norm="ortho", overwrite_x=overwrite_x)
-        assert back.tobytes() == back_want.tobytes()
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("two_slices", [False, True])
+    def test_bitwise_equal_to_scipy(self, n, padded, two_slices):
+        # a contiguous stack, or the padded rows of a one- or two-slice solve
+        base = np.random.default_rng(n).standard_normal((1 + two_slices, n, n))
+        x = _padded(base)[0] if padded else base.copy()
+        assert grid_module._fft.dctn(x) is x
+        want = _per_slice(scipy_fft.dctn, base)
+        assert x.tobytes() == want.tobytes()
+        assert grid_module._fft.idctn(x) is x
+        assert x.tobytes() == _per_slice(scipy_fft.idctn, want).tobytes()
 
     @pytest.mark.parametrize("n", [8, 9, 33, 64])
-    @pytest.mark.parametrize("overwrite_x", [False, True])
-    def test_stack_bitwise_equal_to_scipy(self, n, overwrite_x):
-        # the Helmholtz solves transform a (2, n, n) stack over its last axes
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_stack_bitwise_equal_to_scipy(self, monkeypatch, n, fallback):
+        # either backend on the (2, n, n) view that a step's solve passes,
+        # ws.transform[:2, :, :n]: the pads around it are left as they were
+        if fallback:
+            monkeypatch.setattr(grid_module, "_pocketfft_path", lambda: None)
+        fft = grid_module._load_dct()
+        assert (fft.dctn.__code__ is grid_module._fft.dctn.__code__) is not fallback
         base = np.random.default_rng(n).standard_normal((2, n, n))
-        ours, theirs = base.copy(), base.copy()
-        kw = dict(type=2, norm="ortho", overwrite_x=overwrite_x, axes=(1, 2))
-        got = grid_module._fft.dctn(ours, **kw)
-        want = scipy_fft.dctn(theirs, **kw)
-        assert got.tobytes() == want.tobytes()
-        each = np.stack([scipy_fft.dctn(b, type=2, norm="ortho") for b in base])
-        assert got.tobytes() == each.tobytes()
-        assert got is ours if overwrite_x else ours.tobytes() == base.tobytes()
-        back = grid_module._fft.idctn(got, **kw)
-        back_want = scipy_fft.idctn(want, **kw)
-        assert back.tobytes() == back_want.tobytes()
-        each = np.stack([scipy_fft.idctn(c, type=2, norm="ortho") for c in each])
-        assert back.tobytes() == each.tobytes()
-
-    def test_only_the_orthonormal_type_2_pair(self):
-        x = np.ones((8, 8))
-        with pytest.raises(ValueError):
-            grid_module._fft.dctn(x, type=3, norm="ortho")
-        with pytest.raises(ValueError):
-            grid_module._fft.idctn(x, type=2, norm="backward")
+        x, rows = _padded(base)
+        assert fft.dctn(x) is x
+        want = _per_slice(scipy_fft.dctn, base)
+        assert x.tobytes() == want.tobytes()
+        assert fft.idctn(x) is x
+        assert x.tobytes() == _per_slice(scipy_fft.idctn, want).tobytes()
+        assert not rows[:, :, n:].any()
 
     @pytest.mark.parametrize(
         "attr, stand_in",
@@ -1117,11 +1139,21 @@ class TestDctPair:
         ids=["not-found", "wrong-values", "wrong-signature", "load-fails"],
     )
     def test_falls_back_to_scipy_fft(self, monkeypatch, attr, stand_in):
+        calls = []
+        for name in ("dctn", "idctn"):
+            real = getattr(scipy_fft, name)
+
+            def recorded(*args, name=name, real=real, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(scipy_fft, name, recorded)
         monkeypatch.setattr(grid_module, attr, stand_in)
         fft = grid_module._load_dct()
-        assert fft is scipy_fft
-        x = np.random.default_rng(9).standard_normal((9, 9))
-        got = fft.dctn(x, type=2, norm="ortho")
-        assert got.tobytes() == grid_module._fft.dctn(x, type=2, norm="ortho").tobytes()
-        back = fft.idctn(got, type=2, norm="ortho")
-        assert back.tobytes() == grid_module._fft.idctn(got, type=2, norm="ortho").tobytes()
+        base = np.random.default_rng(9).standard_normal((2, 9, 9))
+        x, ours = _padded(base)[0], base.copy()
+        assert fft.dctn(x) is x
+        assert x.tobytes() == grid_module._fft.dctn(ours).tobytes()
+        assert fft.idctn(x) is x
+        assert x.tobytes() == grid_module._fft.idctn(ours).tobytes()
+        assert calls == ["dctn", "idctn"]

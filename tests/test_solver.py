@@ -72,6 +72,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(output_every=1e-12)
 
+    def test_dt_max_below_dt_min_rejected(self):
+        # every step was below the halving floor, so run() ended
+        # blowup_suspected at the first guard rejection, without one halving
+        with pytest.raises(ValueError, match=r"^dt_max must be at least dt_min, "
+                                             r"got 1e-05 < 0\.0001$"):
+            small_config(dt_min=1e-4, dt_max=1e-5)
+        assert small_config(dt_min=1e-4, dt_max=1e-4).dt_max == 1e-4
+
     def test_flux_scheme_names(self):
         with pytest.raises(ValueError):
             small_config(flux_scheme="quick")
@@ -910,9 +918,9 @@ class TestNumericalFailuresAreOutcomes:
             dctn = staticmethod(real.dctn)
 
             @staticmethod
-            def idctn(x, *args, **kwargs):
+            def idctn(x):
                 # one cell of the first slice of the solve's stack
-                u = real.idctn(x, *args, **kwargs)
+                u = real.idctn(x)
                 u[0, 3, 5] += 1e-6
                 return u
 
@@ -933,8 +941,8 @@ class TestNumericalFailuresAreOutcomes:
             dctn = staticmethod(real.dctn)
 
             @staticmethod
-            def idctn(x, *args, **kwargs):
-                u = real.idctn(x, *args, **kwargs)
+            def idctn(x):
+                u = real.idctn(x)
                 u *= 1.5
                 return u
 
@@ -953,8 +961,8 @@ class TestNumericalFailuresAreOutcomes:
             dctn = staticmethod(real.dctn)
 
             @staticmethod
-            def idctn(x, *args, **kwargs):
-                u = real.idctn(x, *args, **kwargs)
+            def idctn(x):
+                u = real.idctn(x)
                 u[0, 2, 2] = np.nan
                 return u
 
@@ -1171,13 +1179,14 @@ def _wavy_state(grid):
 class TestScipyFallback:
     def test_a_run_on_scipy_fft_equals_the_pocketfft_run(self, monkeypatch):
         # scipy.fft transforms the solves' padded rows in place but returns
-        # a new array object, which the solve copies back before dividing
+        # a new array object, which the fallback pair copies back
         n = 8
         spectral = np.zeros((2, n, n + grid_module._PAD))[:, :, :n]
         u = scipy_fft.dctn(spectral, type=2, norm="ortho", overwrite_x=True, axes=(1, 2))
         assert u is not spectral
         want = run(small_config())
-        monkeypatch.setattr(grid_module, "_fft", scipy_fft)
+        monkeypatch.setattr(grid_module, "_pocketfft_path", lambda: None)
+        monkeypatch.setattr(grid_module, "_fft", grid_module._load_dct())
         got = run(small_config())
         assert got.outcome.kind == want.outcome.kind == "completed"
         assert repr(got) == repr(want)  # records and counts; repr round-trips floats
